@@ -17,7 +17,6 @@ factorization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +33,6 @@ from .invariants import construct_group, mcinv, pi_sets, sylow_presentation
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
-    divisors,
     geom_sum,
     lcm,
     p_part,
@@ -57,8 +55,6 @@ from .wedderburn import (
     roots_of_unity_order,
 )
 
-FILTER_KINDS = ("A1A2", "B", "C", "D", "E", "F")
-
 
 @lru_cache(maxsize=None)
 def canonical_form(G: MetacyclicGroup) -> MetacyclicGroup:
@@ -80,23 +76,14 @@ class SectionFilter:
     degree: required reduced degree of the component (0 skips);
     ambient: the center must embed in the cyclotomic field of this
         conductor (0 skips);
-    ambient_codegree: required index of the center in the ambient field;
     torsion_banned: orders no root of unity in the center may have;
-    torsion_exact: exact order of the center's torsion group (0 skips);
-    intersections: pairs (c, F) demanding center cap Q(zeta_c) = F.
+    torsion_exact: exact order of the center's torsion group (0 skips).
     """
 
-    kind: str
     degree: int = 0
     ambient: int = 0
-    ambient_codegree: int = 0
     torsion_banned: tuple[int, ...] = ()
     torsion_exact: int = 0
-    intersections: tuple[tuple[int, FixedField], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
 
     def matches(self, comp: SimpleComponent) -> bool:
         F = comp.center
@@ -104,16 +91,13 @@ class SectionFilter:
             return False
         if self.ambient and not is_subfield(F, cyclotomic_field(self.ambient)):
             return False
-        if self.ambient_codegree and phi(self.ambient) // F.degree != self.ambient_codegree:
-            return False
         if self.torsion_exact or self.torsion_banned:
             tor = roots_of_unity_order(F)
             if self.torsion_exact and tor != self.torsion_exact:
                 return False
             if any(tor % q == 0 for q in self.torsion_banned):
                 return False
-        return all(intersect_cyclotomic(F, c) == expected
-                   for c, expected in self.intersections)
+        return True
 
 
 def filter_components(decomp, f: SectionFilter) -> tuple[SimpleComponent, ...]:
@@ -122,13 +106,13 @@ def filter_components(decomp, f: SectionFilter) -> tuple[SimpleComponent, ...]:
 
 def filter_a1a2(m_pi_prime: int) -> SectionFilter:
     """Center embeds in Q(zeta_{m_pi'}) and its only roots of unity are +-1."""
-    return SectionFilter(kind="A1A2", ambient=m_pi_prime, torsion_exact=2)
+    return SectionFilter(ambient=m_pi_prime, torsion_exact=2)
 
 
 def filter_b(G: MetacyclicGroup) -> SectionFilter:
     """Degree k and no roots of unity of odd order from pi."""
     _, der = mcinv(canonical_form(G))
-    return SectionFilter(kind="B", degree=der.k,
+    return SectionFilter(degree=der.k,
                          torsion_banned=tuple(q for q in der.pi if q != 2))
 
 
@@ -143,49 +127,13 @@ def filter_c(G: MetacyclicGroup, p: int) -> SectionFilter:
     banned = tuple(q for q in der.pi if q not in (p, 2))
     if p != 2:
         banned += (4,)
-    return SectionFilter(kind="C", degree=lcm(der.k, p ** (mu - rho)),
+    return SectionFilter(degree=lcm(der.k, p ** (mu - rho)),
                          torsion_banned=banned)
 
 
 def _base_field(GC: MetacyclicGroup) -> FixedField:
     inv, der = mcinv(GC)
     return fixed_field(part(inv.m, der.pi_prime), der.R)
-
-
-def filter_d(G: MetacyclicGroup, p: int) -> SectionFilter:
-    GC = canonical_form(G)
-    inv, der = mcinv(GC)
-    m_pp = part(inv.m, der.pi_prime)
-    s_p, r_p = p_part(inv.s, p), p_part(der.r, p)
-    c = lcm(der.k, s_p // r_p)
-    return SectionFilter(kind="D", degree=c, ambient=m_pp * s_p,
-                         ambient_codegree=c,
-                         intersections=((m_pp, _base_field(GC)),
-                                        (s_p, cyclotomic_field(r_p))))
-
-
-def filter_e(G: MetacyclicGroup, p: int) -> SectionFilter:
-    GC = canonical_form(G)
-    inv, der = mcinv(GC)
-    m_pp = part(inv.m, der.pi_prime)
-    mp_p, r_p = p_part(der.m_prime, p), p_part(der.r, p)
-    return SectionFilter(kind="E", degree=der.k, ambient=m_pp * mp_p,
-                         ambient_codegree=der.k,
-                         intersections=((m_pp, _base_field(GC)),
-                                        (mp_p, cyclotomic_field(r_p))))
-
-
-def filter_f(G: MetacyclicGroup, p: int = 2) -> SectionFilter:
-    GC = canonical_form(G)
-    inv, der = mcinv(GC)
-    m_pp = part(inv.m, der.pi_prime)
-    mp2, r2 = p_part(der.m_prime, 2), p_part(der.r, 2)
-    c = lcm(der.k, mp2 // r2)
-    sigma_fixed = fixed_field(mp2, cyclic_subgroup((r2 - 1) % mp2, mp2))
-    return SectionFilter(kind="F", degree=c, ambient=m_pp * mp2,
-                         ambient_codegree=c,
-                         intersections=((m_pp, _base_field(GC)),
-                                        (mp2, sigma_fixed)))
 
 
 # -- recovering the pi'-action from the algebra ------------------------------
@@ -233,36 +181,6 @@ def _local_params(GC: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]
     S = sylow_presentation(GC, p)
     sinv, sder = mcinv(S)
     return vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p), vp(sder.r, p), sder.eps
-
-
-def _subgroup_classes(GC: MetacyclicGroup, subs,
-                      conjugators: tuple[El, ...] | None = None) -> list[Subgroup]:
-    """One representative per orbit under conjugation, in input order.
-
-    The default conjugators generate the whole group; passing a smaller
-    tuple counts orbits of the corresponding subaction instead.
-    """
-    if conjugators is None:
-        conjugators = (GC.gen_a, GC.gen_b)
-    seen: set[frozenset] = set()
-    reps = []
-    for S in subs:
-        if S.elems in seen:
-            continue
-        orbit = {S.elems}
-        frontier = [S]
-        while frontier:
-            new = []
-            for T in frontier:
-                for g in conjugators:
-                    U = GC.conjugate_subgroup(T, g)
-                    if U.elems not in orbit:
-                        orbit.add(U.elems)
-                        new.append(U)
-            frontier = new
-        seen |= orbit
-        reps.append(S)
-    return reps
 
 
 # -- countB: components of degree k over the rationals -----------------------
@@ -324,13 +242,13 @@ def formula_NE(G: MetacyclicGroup) -> int | None:
     q2 = [P for P in subs
           if w[2] in P.elems
           and all(w[q] not in P.elems for q in qs if q != 2)]
-    d = len(_subgroup_classes(GC, q1))
-    d1 = len(_subgroup_classes(GC, q2))
+    d = len(GC.subgroup_classes(q1))
+    d1 = len(GC.subgroup_classes(q2))
     if shape == "split":
         return d * (nu + 2) + d1
     bb = (GC.power(GC.gen_b, 2),)
-    o1 = len(_subgroup_classes(GC, q1, conjugators=bb))
-    o2 = len(_subgroup_classes(GC, q2, conjugators=bb))
+    o1 = len(GC.subgroup_classes(q1, gens=bb))
+    o2 = len(GC.subgroup_classes(q2, gens=bb))
     return 2 * nu * d + o1 + o2
 
 

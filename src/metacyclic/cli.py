@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import (
     count_B,
@@ -59,7 +59,6 @@ CHECK_NAMES = ("roundtrip", "dimension", "perlis-walker", "recoverR",
 class RunConfig:
     max_order: int = 64
     format: str = "table"
-    deterministic: bool = True
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -396,17 +395,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rational group algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_bound=False):
+    def common(p, sweep=False):
         p.add_argument("--format", choices=FORMATS, default="table")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers; output bytes do not depend on it")
-        if with_bound:
+        if sweep:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel workers; output bytes do not depend on it")
             p.add_argument("--max-order", type=int, default=64,
                            help=f"largest group order, at most {MAX_ORDER_LIMIT}")
 
     p = sub.add_parser("enumerate",
                        help="one representative per isomorphism class")
-    common(p, with_bound=True)
+    common(p, sweep=True)
 
     p = sub.add_parser("mcinv", help="classifying tuple of a presentation")
     p.add_argument("m", type=int)
@@ -441,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property-check suite")
     p.add_argument("--checks", default=",".join(CHECK_NAMES),
                    help="comma list from " + ",".join(CHECK_NAMES))
-    common(p, with_bound=True)
+    common(p, sweep=True)
     return parser
 
 
@@ -450,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     out, err = sys.stdout, sys.stderr
     try:
         cfg = RunConfig(max_order=getattr(args, "max_order", 64),
-                        format=args.format, jobs=args.jobs)
+                        format=args.format, jobs=getattr(args, "jobs", 1))
         if args.command == "enumerate":
             _emit(cmd_enumerate(cfg), cfg.format, out)
         elif args.command == "mcinv":

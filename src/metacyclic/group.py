@@ -17,7 +17,7 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable
 
-from .numth import crt_exponent, divisors, geom_sum_mod, part, primes_of
+from .numth import crt_exponent, divisors, geom_sum_mod, orbit, part, primes_of
 
 El = tuple[int, int]
 
@@ -129,18 +129,7 @@ class MetacyclicGroup:
 
     def generated(self, gens: Iterable[El]) -> "Subgroup":
         gens = tuple(gens)
-        elems = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in elems:
-                        elems.add(y)
-                        new.append(y)
-            frontier = new
-        return Subgroup(self, frozenset(elems), gens)
+        return Subgroup(self, frozenset(orbit(self.identity, gens, self.mul)), gens)
 
     def cyclic_subgroup(self, x: El) -> "Subgroup":
         return self.generated([x])
@@ -180,45 +169,36 @@ class MetacyclicGroup:
         return Subgroup(self, frozenset(self.conj(g, x) for g in S.elems),
                         tuple(self.conj(g, x) for g in S.gens))
 
+    def conjugates(self, S: "Subgroup", gens=None) -> set["Subgroup"]:
+        """Orbit of S under conjugation by the group generated by `gens`,
+        by default the whole group."""
+        if gens is None:
+            gens = (self.gen_a, self.gen_b)
+        return orbit(S, gens, self.conjugate_subgroup)
+
+    def subgroup_classes(self, subs: Iterable["Subgroup"],
+                         gens=None) -> list["Subgroup"]:
+        """One representative per conjugation orbit, the first in input
+        order.  Passing `gens` counts the orbits of the subaction of the
+        group they generate instead."""
+        seen: set[Subgroup] = set()
+        reps = []
+        for S in subs:
+            if S not in seen:
+                seen |= self.conjugates(S, gens)
+                reps.append(S)
+        return reps
+
     def normalizer(self, S: "Subgroup") -> "Subgroup":
         elems = [x for x in self.elements
                  if all(self.conj(g, x) in S.elems for g in S.gens)]
         return Subgroup(self, frozenset(elems))
 
     def core(self, S: "Subgroup") -> "Subgroup":
-        """Largest normal subgroup of G inside S: the elements whose whole
-        conjugacy class stays in S."""
-        gens = (self.gen_a, self.gen_b)
-        keep = []
-        for x in S.elems:
-            orbit = {x}
-            frontier = [x]
-            inside = True
-            while frontier and inside:
-                new = []
-                for y in frontier:
-                    for g in gens:
-                        z = self.conj(y, g)
-                        if z not in S.elems:
-                            inside = False
-                            break
-                        if z not in orbit:
-                            orbit.add(z)
-                            new.append(z)
-                    if not inside:
-                        break
-                frontier = new
-            if inside:
-                keep.append(x)
-        return Subgroup(self, frozenset(keep))
-
-    def centralizer(self, xs: Iterable[El]) -> "Subgroup":
-        xs = tuple(xs)
-        elems = [g for g in self.elements if all(self.conj(x, g) == x for x in xs)]
-        return Subgroup(self, frozenset(elems))
-
-    def center(self) -> "Subgroup":
-        return self.centralizer((self.gen_a, self.gen_b))
+        """Largest normal subgroup of G inside S: the intersection of the
+        conjugates of S."""
+        return Subgroup(self, frozenset.intersection(
+            *(C.elems for C in self.conjugates(S))))
 
     def derived_subgroup(self) -> "Subgroup":
         return self.cyclic_subgroup((math.gcd(self.t - 1, self.m) % self.m, 0))
@@ -236,25 +216,16 @@ class MetacyclicGroup:
     # -- structure --------------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[frozenset, ...]:
+        """The classes in the order of their least elements."""
         gens = (self.gen_a, self.gen_b)
-        remaining = set(self.elements)
+        seen: set[El] = set()
         classes = []
-        while remaining:
-            x = min(remaining)
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                new = []
-                for y in frontier:
-                    for g in gens:
-                        z = self.conj(y, g)
-                        if z not in orbit:
-                            orbit.add(z)
-                            new.append(z)
-                frontier = new
-            classes.append(frozenset(orbit))
-            remaining -= orbit
-        return tuple(sorted(classes, key=lambda c: min(c)))
+        for x in self.elements:
+            if x not in seen:
+                c = frozenset(orbit(x, gens, self.conj))
+                seen |= c
+                classes.append(c)
+        return tuple(classes)
 
     def abelianization_invariants(self) -> tuple[int, ...]:
         """Invariant factors of G/[G,G], from the Smith form of the
@@ -330,11 +301,6 @@ class Subgroup:
         G = self.group
         return all(G.conj(g, c) in self.elems
                    for g in self.gens for c in (G.gen_a, G.gen_b))
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        G = self.group
-        return all(G.mul(x, y) == G.mul(y, x) for x in self.gens for y in self.gens)
 
     def __contains__(self, x: El) -> bool:
         return x in self.elems

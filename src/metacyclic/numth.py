@@ -2,6 +2,7 @@
 
 Everything here is plain integer arithmetic; factorisations use trial
 division, which is ample for the group orders this package targets.
+`orbit` is the closure routine every layer above builds on.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def part(n: int, primes) -> int:
     return out
 
 
-def coprime_part(n: int, primes) -> int:
-    """Largest divisor of n coprime to every prime in the set."""
-    return n // part(n, primes)
-
-
 @lru_cache(maxsize=None)
 def phi(n: int) -> int:
     out = 1
@@ -117,33 +113,6 @@ def geom_sum_mod(x: int, n: int, mod: int) -> int:
     if n % 2:
         total = (total + pow(x, n - 1, mod)) % mod
     return total
-
-
-def power_valuations(r: int, m: int, p: int) -> tuple[int, int, int]:
-    """Closed forms for v_p(r^m - 1), v_p(1 + r + ... + r^(m-1)) and the
-    multiplicative order of r mod p^m.
-
-    Requires r > 1, m >= 1 and r = 1 mod p.
-    """
-    if r <= 1 or m < 1:
-        raise ValueError("need r > 1 and m >= 1")
-    d = vp(r - 1, p)
-    if d < 1:
-        raise ValueError("need r = 1 mod p")
-    if p != 2 or d >= 2:
-        v1 = d + vp(m, p)
-        v2 = vp(m, p)
-        order = p ** max(0, m - d)
-    else:
-        e = vp(r + 1, 2)
-        if m % 2 == 0:
-            v1 = e + vp(m, 2)
-            v2 = v1 - 1
-        else:
-            v1 = 1
-            v2 = 0
-        order = 1 if m <= 1 else 2 ** max(1, m - e)
-    return v1, v2, order
 
 
 @lru_cache(maxsize=None)
@@ -216,36 +185,41 @@ def unit_subgroup(modulus: int, elements) -> UnitSubgroup:
     return _canonical(modulus, sub)
 
 
+def orbit(start, gens, act) -> set:
+    """Closure of {start} under x -> act(x, g) for every g in gens.
+
+    The one breadth-first closure of the package: subgroups generated by
+    elements, conjugacy classes and conjugation orbits of subgroups are
+    all orbits of this form.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
 def from_generators(modulus: int, gens) -> UnitSubgroup:
     """Subgroup of the units mod `modulus` generated by the given residues."""
     if modulus == 1:
         return _canonical(1, (0,))
-    elems = {1}
-    frontier = [1]
     gs = [g % modulus for g in gens]
     for g in gs:
         if math.gcd(g, modulus) != 1:
             raise ValueError(f"{g} is not a unit mod {modulus}")
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gs:
-                y = (x * g) % modulus
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
+    elems = orbit(1, gs, lambda x, g: x * g % modulus)
     return _canonical(modulus, tuple(sorted(elems)))
 
 
 def trivial_subgroup(modulus: int) -> UnitSubgroup:
     return from_generators(modulus, [])
-
-
-def full_unit_group(modulus: int) -> UnitSubgroup:
-    if modulus == 1:
-        return _canonical(1, (0,))
-    return _canonical(modulus, units(modulus))
 
 
 def cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
@@ -268,24 +242,6 @@ def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
 def cyclic_subgroups(modulus: int) -> tuple[UnitSubgroup, ...]:
     """All cyclic subgroups of the units mod `modulus`, sorted."""
     return tuple(sorted({cyclic_subgroup(t, modulus) for t in units(modulus)}))
-
-
-def cyclic_subgroups_mod2k(d: int) -> tuple[UnitSubgroup, ...]:
-    """All cyclic subgroups of the units mod a power of two.
-
-    For 4 | d these are exactly the subgroups generated by 1 + r and -1 + r
-    for divisors r of d with 4 | r; there are 2(log2(d) - 1) of them.
-    """
-    if d < 1 or d & (d - 1):
-        raise ValueError("modulus must be a power of two")
-    if d <= 2:
-        return (trivial_subgroup(d),)
-    found = set()
-    for r in divisors(d):
-        if r % 4 == 0:
-            found.add(cyclic_subgroup((1 + r) % d, d))
-            found.add(cyclic_subgroup((-1 + r) % d, d))
-    return tuple(sorted(found))
 
 
 def crt_exponent(order: int, primes) -> int:

@@ -207,22 +207,6 @@ def _qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:
     return L
 
 
-def _k_orbit(G: MetacyclicGroup, K: Subgroup) -> list[Subgroup]:
-    gens = (G.gen_a, G.gen_b)
-    seen = {K.elems: K}
-    frontier = [K]
-    while frontier:
-        new = []
-        for S in frontier:
-            for g in gens:
-                C = G.conjugate_subgroup(S, g)
-                if C.elems not in seen:
-                    seen[C.elems] = C
-                    new.append(C)
-        frontier = new
-    return list(seen.values())
-
-
 @lru_cache(maxsize=None)
 def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
     """One strong Shoda pair (L, K) per conjugacy class of K.
@@ -230,24 +214,22 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
     of t mod m (the largest abelian <a, b^j>, j | n).  Each returned K is
     the representative of its conjugacy class with the smallest element
-    list; conjugate candidates qualify or fail together, so deduplication
-    by first hit in the sorted subgroup order is canonical.  Normality of
-    K in L is asserted outright (it follows from L' <= K); cyclicity is
-    checked during the search, and the remaining strong-pair axioms hold
-    by the classification of metabelian group algebras, with
+    list, i.e. the first in the sorted subgroup order; conjugate
+    candidates qualify or fail together.  Normality of K in L is asserted
+    outright (it follows from L' <= K); cyclicity is checked during the
+    search, and the remaining strong-pair axioms hold by the
+    classification of metabelian group algebras, with
     :func:`idempotent_check` available as an independent verifier at
     small orders.
     """
-    pairs: list[tuple[Subgroup, Subgroup]] = []
-    seen: set[frozenset] = set()
+    partner: dict[Subgroup, Subgroup] = {}
     for K in G.subgroups():
-        if K.elems in seen:
-            continue
         L = _qualifies(G, K)
-        if L is None:
-            continue
-        orbit = _k_orbit(G, K)
-        seen.update(S.elems for S in orbit)
+        if L is not None:
+            partner[K] = L
+    pairs = []
+    for K in G.subgroup_classes(partner):
+        L = partner[K]
         assert all(G.conj(k, g) in K.elems for g in L.gens for k in K.elems)
         pairs.append((L, K))
     return tuple(pairs)
@@ -417,7 +399,7 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     """
     if _qualifies(G, K) != L:
         raise ValueError("(L, K) is not a strong Shoda pair of G")
-    K = min(_k_orbit(G, K), key=lambda S: S.sorted_elems)
+    K = min(G.conjugates(K), key=lambda S: S.sorted_elems)
     N = G.normalizer(K)
     idx = L.order // K.order
     u = _coset_generator(G, L, K)

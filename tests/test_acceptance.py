@@ -11,18 +11,12 @@ import sys
 from collections import Counter
 
 from metacyclic.analysis import (
-    count_B,
-    count_C,
     filter_a1a2,
     filter_components,
-    formula_NE,
-    formula_NG,
     max_degree_branch,
     recover_R,
-    regime_U,
-    section7_witness,
 )
-from metacyclic.cli import check_iso_oracle, consistent_presentations
+from metacyclic.cli import check_iso_oracle, consistent_presentations, run_checks
 from metacyclic.group import MetacyclicGroup
 from metacyclic.invariants import (
     construct_group,
@@ -34,11 +28,9 @@ from metacyclic.numth import p_part
 from metacyclic.wedderburn import (
     RATIONALS,
     UNKNOWN,
-    commutative_conductors,
     compare_algebras,
     cyclotomic_field,
     decomposition,
-    perlis_walker_conductors,
 )
 
 
@@ -52,14 +44,18 @@ def report(capsys, index: int, name: str, failures: list, checked: int,
     assert not failures, failures[:5]
 
 
+def cli_check(names: tuple[str, ...], bound: int) -> tuple[int, list, int]:
+    """(checked, failures, n/a flags) of the CLI's own checks up to `bound`."""
+    findings, summaries = run_checks(names, bound)
+    checked = sum(s["lhs"] for s in summaries)
+    failures = [f for f in findings if f["status"] == "fail"]
+    flagged = sum(1 for f in findings if f["status"] == "n/a")
+    return checked, failures, flagged
+
+
 def test_criterion_01_classification_round_trip(capsys) -> None:
-    failures = []
-    tuples = valid_tuples(200)
-    for inv in tuples:
-        G = construct_group(inv)
-        if mcinv(G)[0] != inv:
-            failures.append(inv.to_json())
-    report(capsys, 1, "classification round-trip, m*n <= 200", failures, len(tuples))
+    checked, failures, _ = cli_check(("roundtrip",), 200)
+    report(capsys, 1, "classification round-trip, m*n <= 200", failures, checked)
 
 
 def test_criterion_02_isomorphism_completeness(capsys) -> None:
@@ -80,28 +76,15 @@ def test_criterion_03_realizability(capsys) -> None:
 
 
 def test_criterion_04_wedderburn_dimension_identity(capsys) -> None:
-    failures = []
-    tuples = valid_tuples(256)
-    for inv in tuples:
-        G = construct_group(inv)
-        total = sum(c.q_dimension for c in decomposition(G))
-        if total != G.order:
-            failures.append((inv.to_json(), total))
+    checked, failures, _ = cli_check(("dimension",), 256)
     report(capsys, 4, "sum of component dimensions equals group order, <= 256",
-           failures, len(tuples))
+           failures, checked)
 
 
 def test_criterion_05_perlis_walker_slice(capsys) -> None:
-    failures = []
-    tuples = valid_tuples(256)
-    for inv in tuples:
-        G = construct_group(inv)
-        got = commutative_conductors(decomposition(G))
-        want = perlis_walker_conductors(G.abelianization_invariants())
-        if got != want:
-            failures.append((inv.to_json(), got, want))
+    checked, failures, _ = cli_check(("perlis-walker",), 256)
     report(capsys, 5, "commutative part matches the abelianization formula, <= 256",
-           failures, len(tuples))
+           failures, checked)
 
 
 def test_criterion_06_golden_decompositions(capsys) -> None:
@@ -177,48 +160,12 @@ def test_criterion_08_sylow_tuple_consistency(capsys) -> None:
 
 
 def test_criterion_09_component_counting(capsys) -> None:
-    failures = []
-    checked = 0
-    flagged = 0
-    for inv in valid_tuples(512):
-        G = construct_group(inv)
-        _, der = mcinv(G)
-        want_ne = formula_NE(G)
-        if want_ne is not None:
-            checked += 1
-            if count_B(G) != want_ne:
-                failures.append(("countB", inv.to_json(), count_B(G), want_ne))
-        for p in der.pi:
-            if not regime_U(G, p):
-                continue
-            checked += 1
-            got = count_C(G, p)
-            if got != formula_NG(G, p):
-                failures.append(("countC", inv.to_json(), p, got,
-                                 formula_NG(G, p)))
-            try:
-                displayed = formula_NG(G, p, table="displayed")
-            except ValueError:
-                displayed = None
-            if displayed != got:
-                flagged += 1
+    checked, failures, flagged = cli_check(("countB", "countC"), 512)
     report(capsys, 9, "component counts match the derived formulas, <= 512", failures,
            checked, notes=f"{flagged} displayed-table flags")
 
 
 def test_criterion_10_section7_witnesses(capsys) -> None:
-    failures = []
-    checked = 0
-    for inv in valid_tuples(512):
-        G = construct_group(inv)
-        _, der = mcinv(G)
-        for p in der.pi:
-            entries = section7_witness(G, p)
-            if entries and entries[0]["status"] == "n/a":
-                continue
-            for entry in entries:
-                checked += 1
-                if entry["status"] != "pass":
-                    failures.append((inv.to_json(), p, entry))
+    checked, failures, _ = cli_check(("section7",), 512)
     report(capsys, 10, "witness pairs satisfy the degree and center identities, "
            "<= 512", failures, checked)

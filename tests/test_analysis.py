@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from metacyclic.analysis import (
-    FILTER_KINDS,
     UVT,
     canonical_form,
     count_B,
@@ -37,10 +36,6 @@ def test_canonical_form_is_idempotent_and_isomorphism_invariant() -> None:
     # two presentations of the modular group of order 16 share one form
     assert canonical_form(MetacyclicGroup(8, 2, 0, 5)).key == \
         canonical_form(MetacyclicGroup(4, 4, 2, 3)).key
-
-
-def test_filter_kinds_enumerated() -> None:
-    assert FILTER_KINDS == ("A1A2", "B", "C", "D", "E", "F")
 
 
 def test_filter_a1a2_on_s3() -> None:

@@ -196,6 +196,15 @@ def test_verify_rejects_unknown_check(capsys) -> None:
     assert "unknown checks: bogus" in err
 
 
+def test_jobs_only_on_sweeping_commands(capsys) -> None:
+    for argv in (["mcinv", "3", "2", "0", "2"], ["construct", "4", "2", "2", "4", "3"],
+                 ["wedderburn", "3", "2", "0", "2"],
+                 ["isoq", "3", "2", "0", "2", "3", "2", "3", "2"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--jobs", "2"])
+    capsys.readouterr()
+
+
 def test_max_order_cap_is_enforced(capsys) -> None:
     code, _, err = run_cli(capsys, "enumerate", "--max-order", "9999")
     assert code == 1

@@ -1,0 +1,46 @@
+"""Byte-identical CLI output: sha256 digests of three fixed runs.
+
+A refactor that should change nothing must keep these digests.  A change
+that alters output on purpose updates them and says why.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+from metacyclic.cli import main
+
+# Every check but iso-oracle, whose cost at its cap would dominate.
+CHECKS = "roundtrip,dimension,perlis-walker,recoverR,degpag,countB,countC,section7"
+# S3, Q8, D8, M16, Q16, the order-27 group of exponent 9, and five more
+# up to order 189.
+PRESENTATIONS = ((3, 2, 0, 2), (4, 2, 2, 3), (4, 2, 0, 3), (8, 2, 0, 5),
+                 (8, 2, 4, 7), (9, 3, 0, 4), (12, 4, 6, 5), (24, 2, 6, 5),
+                 (32, 2, 0, 31), (12, 12, 6, 11), (21, 9, 0, 16))
+
+
+def _digest(*argvs: list[str]) -> str:
+    buf = io.StringIO()
+    for argv in argvs:
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0, argv
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_verify_output_digest() -> None:
+    assert _digest(["verify", "--max-order", "64", "--checks", CHECKS,
+                    "--format", "json"]) == \
+        "dbc092012b8b560f4898f49b403522f49a927e7b4eb2a6af50db24553ec5b769"
+
+
+def test_enumerate_output_digest() -> None:
+    assert _digest(["enumerate", "--max-order", "128", "--format", "json"]) == \
+        "39669d8670928a67f547d77d290c9ee800a95de060d36b5fe87b77c2c108924e"
+
+
+def test_wedderburn_output_digest() -> None:
+    argvs = [["wedderburn", *map(str, key), "--format", "json"]
+             for key in PRESENTATIONS]
+    assert _digest(*argvs) == \
+        "4f2986d93bd900b75cae1c5c8805263a4361856c99067d18613dd22a34097263"

@@ -11,6 +11,7 @@ from metacyclic.group import (
     cocyclic_subgroups_of_product,
     cocyclic_triples,
 )
+from metacyclic.invariants import construct_group, valid_tuples
 from metacyclic.numth import p_part
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
@@ -94,14 +95,10 @@ def test_brute_force_isomorphism_separates_q8_from_d8() -> None:
 
 
 def test_center_derived_and_class_counts() -> None:
-    assert S3.center().order == 1
     assert S3.derived_subgroup().order == 3
     assert len(S3.conjugacy_classes()) == 3
-    assert Q8.center().order == 2
-    assert D8.center().order == 2
     assert len(Q8.conjugacy_classes()) == 5
     assert len(D8.conjugacy_classes()) == 5
-    assert M16.center().order == 4
     assert len(M16.conjugacy_classes()) == 10
 
 
@@ -112,6 +109,7 @@ def test_conjugacy_classes_partition_the_group() -> None:
         assert sorted(seen) == sorted(G.elements)
         for c in classes:
             assert G.order % len(c) == 0
+        assert [min(c) for c in classes] == sorted(min(c) for c in classes)
 
 
 def test_abelianization_smith_form() -> None:
@@ -169,7 +167,39 @@ def test_normalizer_core_centralizer() -> None:
     assert refl.elems <= N.elems
     assert N.order == 4
     assert G.core(refl).order == 1
-    assert G.centralizer(G.elements) == G.center()
+    assert G.core(G.cyclic_subgroup(G.gen_a)).order == 4
+
+
+def test_conjugates_and_subgroup_classes() -> None:
+    refl = D8.cyclic_subgroup(D8.gen_b)
+    conj = D8.conjugates(refl)
+    assert len(conj) == 2 and refl in conj
+    assert all(C.order == 2 and not C.is_normal for C in conj)
+    # D8 has 8 classes of subgroups: 1, Z, two pairs of reflections,
+    # <a>, two Klein fours and the whole group
+    reps = D8.subgroup_classes(D8.subgroups())
+    assert len(reps) == 8
+    assert reps == sorted(reps, key=lambda S: (S.order, S.sorted_elems))
+    # conjugation by a alone already moves every reflection subgroup
+    assert len(D8.subgroup_classes(D8.subgroups(), gens=(D8.gen_a,))) == 8
+    # the trivial subaction leaves every subgroup in its own orbit
+    assert len(D8.subgroup_classes(D8.subgroups(), gens=())) == 10
+
+
+def test_core_and_subgroup_classes_against_brute_force() -> None:
+    """core(S) is the union of the conjugacy classes inside S, and the
+    orbit count matches conjugation by every element, for every class up
+    to order 64."""
+    for inv in valid_tuples(64):
+        G = construct_group(inv)
+        classes = G.conjugacy_classes()
+        subs = G.subgroups()
+        for S in subs:
+            inside = frozenset().union(*(c for c in classes if c <= S.elems))
+            assert G.core(S).elems == inside, (G, S)
+        brute = {frozenset(frozenset(G.conj(x, g) for x in S.elems)
+                           for g in G.elements) for S in subs}
+        assert len(G.subgroup_classes(subs)) == len(brute), G
 
 
 def test_hall_and_sylow_subgroups() -> None:
@@ -184,9 +214,8 @@ def test_hall_and_sylow_subgroups() -> None:
 
 def test_subgroup_relations() -> None:
     A = D8.cyclic_subgroup(D8.gen_a)
-    Z = D8.center()
-    assert Z <= A
-    assert A.is_normal and A.is_abelian
+    assert D8.derived_subgroup() <= A
+    assert A.is_normal
     assert A.index == 2
 
 

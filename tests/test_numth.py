@@ -5,22 +5,19 @@ import math
 import pytest
 
 from metacyclic.numth import (
-    coprime_part,
     crt_exponent,
     cyclic_subgroup,
     cyclic_subgroups,
-    cyclic_subgroups_mod2k,
     divisors,
     from_generators,
-    full_unit_group,
     geom_sum,
     geom_sum_mod,
     lcm,
     mult_order,
+    orbit,
     p_part,
     part,
     phi,
-    power_valuations,
     prime_factors,
     primes_of,
     restrict,
@@ -54,11 +51,6 @@ def test_valuation_parts() -> None:
     assert p_part(720, 2) == 16
     assert p_part(720, 7) == 1
     assert part(720, (2, 3)) == 144
-    assert coprime_part(720, (2, 3)) == 5
-    # part and coprime_part split n multiplicatively
-    for n in (1, 8, 90, 720):
-        for primes in ((), (2,), (2, 3), (5, 7)):
-            assert part(n, primes) * coprime_part(n, primes) == n
 
 
 def test_phi_and_mult_order_against_brute_force() -> None:
@@ -84,30 +76,10 @@ def test_geom_sum_mod_matches_direct_sum() -> None:
                 assert geom_sum_mod(x, n, mod) == direct % mod
 
 
-@pytest.mark.parametrize("p,rs", [(3, (4, 7, 10, 13)), (5, (6, 11, 16)),
-                                  (2, (3, 5, 7, 9, 15, 17))])
-def test_power_valuations_closed_forms(p: int, rs: tuple[int, ...]) -> None:
-    for r in rs:
-        for m in range(1, 7):
-            v1, v2, order = power_valuations(r, m, p)
-            assert v1 == vp(r**m - 1, p)
-            assert v2 == vp(geom_sum(r, m), p)
-            assert order == mult_order(r % p**m if p**m > 1 else 0, p**m) \
-                if p**m > 1 else order == 1
-
-
-def test_power_valuations_rejects_bad_input() -> None:
-    with pytest.raises(ValueError):
-        power_valuations(1, 3, 2)
-    with pytest.raises(ValueError):
-        power_valuations(5, 2, 3)  # 5 != 1 mod 3
-
-
 def test_units_degenerate_modulus() -> None:
     # modulus 1 keeps a single residue so the trivial group stays nonempty
     assert units(1) == (0,)
     assert units(8) == (1, 3, 5, 7)
-    assert full_unit_group(12).order == 4
 
 
 def test_unit_subgroup_closure_and_canonical_generator() -> None:
@@ -122,6 +94,14 @@ def test_unit_subgroup_closure_and_canonical_generator() -> None:
     assert cyclic_subgroup(11, 16) == cyc  # 11 = 3^3 generates the same subgroup
     with pytest.raises(ValueError):
         unit_subgroup(8, (1, 3, 5))  # not closed
+
+
+def test_orbit_is_the_closure_under_the_action() -> None:
+    assert orbit(1, (3,), lambda x, g: x * g % 16) == {1, 3, 9, 11}
+    assert orbit(0, (4, 6), lambda x, g: (x + g) % 10) == {0, 2, 4, 6, 8}
+    assert orbit("x", (), None) == {"x"}
+    # the action need not come from a group: a sink ends the walk
+    assert orbit(5, (1,), lambda x, g: max(x - g, 0)) == {0, 1, 2, 3, 4, 5}
 
 
 def test_from_generators_and_restrict() -> None:
@@ -146,11 +126,6 @@ def test_cyclic_subgroups_are_exactly_the_cyclic_ones() -> None:
         got = set(cyclic_subgroups(modulus))
         want = {cyclic_subgroup(t, modulus) for t in units(modulus)}
         assert got == want
-
-
-def test_cyclic_subgroups_mod2k_match_generic_enumeration() -> None:
-    for k in (1, 2, 3, 4, 5):
-        assert set(cyclic_subgroups_mod2k(2**k)) == set(cyclic_subgroups(2**k))
 
 
 def test_crt_exponent_hits_prescribed_parts() -> None:

@@ -86,6 +86,18 @@ def test_strong_shoda_pairs_counts_and_idempotents() -> None:
             assert idempotent_check(G, L, K)
 
 
+def test_idempotent_check_on_every_strong_shoda_pair() -> None:
+    from metacyclic.invariants import construct_group, valid_tuples
+
+    checked = 0
+    for inv in valid_tuples(32):
+        G = construct_group(inv)
+        for L, K in strong_shoda_pairs(G):
+            assert idempotent_check(G, L, K), (G, L, K)
+            checked += 1
+    assert checked == 512
+
+
 def test_decomposition_s3() -> None:
     comps = decomposition(S3)
     dims = sorted(c.q_dimension for c in comps)
