@@ -21,7 +21,7 @@ from .analysis import (
     section7_witness,
     uvt_of,
 )
-from .group import MetacyclicGroup, Subgroup
+from .group import InvariantError, MetacyclicGroup, Subgroup
 from .invariants import MCInv, construct_group, isomorphic, mcinv, minimal_factorization, validate_tuple
 from .wedderburn import (
     FixedField,
@@ -39,6 +39,7 @@ from .wedderburn import (
 __all__ = [
     "MetacyclicGroup",
     "Subgroup",
+    "InvariantError",
     "MCInv",
     "mcinv",
     "minimal_factorization",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .group import (
     El,
@@ -56,7 +55,6 @@ from .wedderburn import (
 )
 
 
-@lru_cache(maxsize=None)
 def canonical_form(G: MetacyclicGroup) -> MetacyclicGroup:
     """Presentation rebuilt from the classifying tuple.
 
@@ -175,7 +173,6 @@ def max_degree_branch(G: MetacyclicGroup) -> int:
 # -- shared local data -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _local_params(GC: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
     """(mu, nu, sigma, rho, e) of the Sylow p-subgroup's own tuple."""
     S = sylow_presentation(GC, p)
@@ -308,8 +305,7 @@ def _scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:
     rel = G.power(b_p, p_part(inv.n, p))
     if rel == G.identity:
         return a_p
-    m_p = G.element_order(a_p)
-    e = next(i for i in range(1, m_p) if G.power(a_p, i) == rel)
+    e = G.dlog(a_p, rel)
     s_p = p_part(inv.s, p)
     w, back = divmod(e, s_p)
     assert back == 0 and w % p != 0

@@ -28,7 +28,7 @@ from .analysis import (
     regime_U,
     section7_witness,
 )
-from .group import MetacyclicGroup
+from .group import InvariantError, MetacyclicGroup
 from .invariants import (
     MCInv,
     construct_group,
@@ -122,12 +122,24 @@ def cmd_enumerate(cfg: RunConfig) -> list[dict]:
             for inv in valid_tuples(cfg.max_order)]
 
 
+def _check_order(m: int, n: int) -> None:
+    """Reject a presentation before anything of its size is allocated."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if m * n > MAX_ORDER_LIMIT:
+        raise ValueError(f"group order m*n = {m * n} exceeds {MAX_ORDER_LIMIT}")
+
+
 def cmd_mcinv(m: int, n: int, s: int, t: int) -> list[dict]:
+    _check_order(m, n)
     G = MetacyclicGroup(m, n, s, t)
     return [mcinv(G)[0].to_json()]
 
 
 def cmd_construct(m: int, n: int, s: int, m_prime: int, delta_gen: int) -> list[dict]:
+    _check_order(m, n)
+    if m_prime < 1 or m % m_prime:
+        raise ValueError(f"m' = {m_prime} must be a positive divisor of m = {m}")
     inv = tuple_from_parts(m, n, s if s else m, m_prime, delta_gen)
     ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
     if not ok:
@@ -136,6 +148,7 @@ def cmd_construct(m: int, n: int, s: int, m_prime: int, delta_gen: int) -> list[
 
 
 def cmd_wedderburn(m: int, n: int, s: int, t: int, fmt: str) -> list[dict]:
+    _check_order(m, n)
     G = MetacyclicGroup(m, n, s, t)
     rows = []
     for c in decomposition(G):
@@ -147,6 +160,8 @@ def cmd_wedderburn(m: int, n: int, s: int, t: int, fmt: str) -> list[dict]:
 
 
 def cmd_isoq(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> list[dict]:
+    _check_order(*a[:2])
+    _check_order(*b[:2])
     G, H = MetacyclicGroup(*a), MetacyclicGroup(*b)
     groups = "isomorphic" if mcinv(G)[0] == mcinv(H)[0] else "non-isomorphic"
     return [
@@ -473,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 1
+    except InvariantError as exc:
+        print(f"error: {exc}", file=err)
+        return 2
     return 0
 
 

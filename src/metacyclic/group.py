@@ -22,6 +22,14 @@ from .numth import crt_exponent, divisors, geom_sum_mod, orbit, part, primes_of
 El = tuple[int, int]
 
 
+class InvariantError(RuntimeError):
+    """A mathematical identity that every correct answer satisfies failed.
+
+    Raised instead of `assert` on the paths whose results are cached, so
+    `python -O` cannot strip the check and a wrong answer is never kept.
+    """
+
+
 class MetacyclicGroup:
     def __init__(self, m: int, n: int, s: int = 0, t: int = 1):
         if m < 1 or n < 1:
@@ -72,7 +80,7 @@ class MetacyclicGroup:
         # n = 1 collapses b to a^s, so reduce into the a-coordinate.
         return (0, 1) if self.n > 1 else (self.s, 0)
 
-    @cached_property
+    @property
     def elements(self) -> tuple[El, ...]:
         return tuple((i, j) for i in range(self.m) for j in range(self.n))
 
@@ -114,6 +122,17 @@ class MetacyclicGroup:
     def element_part(self, x: El, primes) -> El:
         """The component of x of order supported on the given primes."""
         return self.power(x, crt_exponent(self.element_order(x), primes))
+
+    def dlog(self, g: El, target: El, K: "Subgroup | None" = None) -> int:
+        """Least e >= 0 with target in K g^e (target = g^e when K is None)."""
+        members = K.elems if K is not None else {self.identity}
+        g_inv = self.inv(g)
+        y = target
+        for e in range(self.element_order(g)):
+            if y in members:
+                return e
+            y = self.mul(y, g_inv)
+        raise ValueError("target does not lie in K<g>")
 
     def coset_order(self, x: El, K: "Subgroup") -> int:
         """Least k >= 1 with x^k in K; always a divisor of the order of x."""

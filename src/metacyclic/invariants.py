@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import MetacyclicGroup, Subgroup
+from .group import InvariantError, MetacyclicGroup, Subgroup
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
@@ -98,15 +98,6 @@ class DerivedInv:
 # -- action subgroups -------------------------------------------------------
 
 
-def _dlog(G: MetacyclicGroup, g, target, order: int) -> int:
-    x = G.identity
-    for e in range(order):
-        if x == target:
-            return e
-        x = G.mul(x, g)
-    raise ValueError("target does not lie in the cyclic group generated by g")
-
-
 def t_subgroup(G: MetacyclicGroup, A: Subgroup) -> UnitSubgroup:
     """Conjugation action of G on a normal cyclic subgroup A.
 
@@ -120,7 +111,7 @@ def t_subgroup(G: MetacyclicGroup, A: Subgroup) -> UnitSubgroup:
     if A.order == 1:
         return trivial_subgroup(1)
     g = A.generator
-    exps = [_dlog(G, g, G.conj(g, c), A.order) for c in (G.gen_a, G.gen_b)]
+    exps = [G.dlog(g, G.conj(g, c)) for c in (G.gen_a, G.gen_b)]
     return from_generators(A.order, exps)
 
 
@@ -193,7 +184,6 @@ def m_prime_of(m: int, n: int, s: int, r: int, eps: int, k: int) -> int:
 # -- minimal factorization and the classifying tuple ------------------------
 
 
-@lru_cache(maxsize=None)
 def _minimal_pairs(G: MetacyclicGroup):
     """((m, r, s), pairs) over all factorizations achieving the minimum."""
     order = G.order
@@ -218,7 +208,8 @@ def _minimal_pairs(G: MetacyclicGroup):
                 best_key, pairs = key, [(A, B)]
             elif key == best_key:
                 pairs.append((A, B))
-    assert best_key is not None, "every metacyclic presentation factorizes"
+    if best_key is None:
+        raise InvariantError(f"{G!r} has no metacyclic factorization")
     return best_key, tuple(pairs)
 
 
@@ -246,7 +237,7 @@ def _derived_part(G: MetacyclicGroup, primes) -> Subgroup:
 def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     """Classifying tuple of G together with the derived quantities.
 
-    All minimizing factorizations must produce the same delta; asserted
+    All minimizing factorizations must produce the same delta; checked
     rather than trusted.
     """
     (m, _, s), pairs = _minimal_pairs(G)
@@ -257,12 +248,15 @@ def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
         r, eps, k = derive_rek(m, T)
         mp = m_prime_of(m, n, s, r, eps, k)
         seen.add((restrict(T, mp), r, eps, k, mp))
-    assert len(seen) == 1, "minimal factorizations disagree on the invariant"
+    if len(seen) != 1:
+        raise InvariantError(f"minimal factorizations of {G!r} disagree on delta")
     delta, r, eps, k, mp = seen.pop()
     pi_prime = tuple(sorted(primes_of(m) - primes_of(r)))
     pi = tuple(sorted(primes_of(G.order) - set(pi_prime)))
     R = t_subgroup(G, _derived_part(G, pi_prime))
-    assert R.modulus == part(m, pi_prime)
+    if R.modulus != part(m, pi_prime):
+        raise InvariantError(f"R of {G!r} has modulus {R.modulus}, "
+                             f"expected {part(m, pi_prime)}")
     return MCInv(m, n, s, delta), DerivedInv(r, eps, k, mp, pi, pi_prime, R)
 
 
@@ -390,8 +384,8 @@ def sylow_presentation(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
     m_p, n_p = p_part(G.m, p), p_part(G.n, p)
     ap = G.element_part(G.gen_a, (p,))
     bp = G.element_part(G.gen_b, (p,))
-    s_loc = _dlog(G, ap, G.power(bp, n_p), m_p)
-    t_loc = _dlog(G, ap, G.conj(ap, bp), m_p)
+    s_loc = G.dlog(ap, G.power(bp, n_p))
+    t_loc = G.dlog(ap, G.conj(ap, bp))
     return MetacyclicGroup(m_p, n_p, s_loc, t_loc)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .group import El, MetacyclicGroup, Subgroup
+from .group import El, InvariantError, MetacyclicGroup, Subgroup
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
@@ -195,19 +195,18 @@ def _qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:
     subgroup condition forces e0 | d and maximality forces d = e0.  K lies
     in L iff e0 divides every b-exponent in K, and L/K (abelian, generated
     by the cosets of a and b^e0) is cyclic iff the lcm of their coset
-    orders is the full index.
+    orders is the full index |L| / |K|, with |L| = m n / gcd(e0, n), so
+    L is only built for a K that passes.
     """
     i0, e0 = _pair_data(G, K)
     if _jgcd(G, K) % e0:
         return None
-    L = G.l_subgroup(e0)
     o2 = G.coset_order(G.power(G.gen_b, e0), K)
-    if lcm(i0, o2) != L.order // K.order:
+    if lcm(i0, o2) != G.order // math.gcd(e0, G.n) // K.order:
         return None
-    return L
+    return G.l_subgroup(e0)
 
 
-@lru_cache(maxsize=None)
 def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
     """One strong Shoda pair (L, K) per conjugacy class of K.
 
@@ -377,16 +376,6 @@ class SimpleComponent:
         }
 
 
-def _dlog_mod_subgroup(G: MetacyclicGroup, target: El, u: El, idx: int,
-                       K: Subgroup) -> int:
-    cur = G.identity
-    for e in range(idx):
-        if G.mul(target, G.inv(cur)) in K.elems:
-            return e
-        cur = G.mul(cur, u)
-    raise AssertionError("target lies in <u>K by construction")
-
-
 def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponent:
     """Descriptor of the simple algebra attached to a strong Shoda pair.
 
@@ -405,8 +394,8 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     u = _coset_generator(G, L, K)
     w = _coset_generator(G, N, L)
 
-    x = _dlog_mod_subgroup(G, G.conj(u, w), u, idx, K)
-    y = _dlog_mod_subgroup(G, G.power(w, N.order // L.order), u, idx, K)
+    x = G.dlog(u, G.conj(u, w), K)
+    y = G.dlog(u, G.power(w, N.order // L.order), K)
     action = cyclic_subgroup(x, idx)
     if idx > 1 and math.gcd(x, idx) != 1:
         raise AssertionError("conjugation must act by a unit")
@@ -433,7 +422,9 @@ def decomposition(G: MetacyclicGroup) -> tuple[SimpleComponent, ...]:
     comps = [component_of(G, L, K) for L, K in strong_shoda_pairs(G)]
     comps.sort(key=SimpleComponent.sort_key)
     total = sum(c.q_dimension for c in comps)
-    assert total == G.order, f"components span {total} of {G.order} dimensions"
+    if total != G.order:
+        raise InvariantError(f"components of {G!r} span {total} of "
+                             f"{G.order} dimensions")
     return tuple(comps)
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from metacyclic import cli, invariants
 from metacyclic.cli import CHECK_NAMES, RunConfig, main
 
 
@@ -209,6 +210,29 @@ def test_max_order_cap_is_enforced(capsys) -> None:
     code, _, err = run_cli(capsys, "enumerate", "--max-order", "9999")
     assert code == 1
     assert "max_order" in err
+
+
+def test_presentation_bounds_are_checked_before_allocation(capsys,
+                                                          monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a group was built from an out-of-range input")
+
+    monkeypatch.setattr(cli, "MetacyclicGroup", refuse)
+    monkeypatch.setattr(invariants, "MetacyclicGroup", refuse)
+    monkeypatch.setattr(cli, "tuple_from_parts", refuse)
+    huge = str(10**12)
+    for argv in (["mcinv", "4097", "1", "0", "1"], ["mcinv", "1", huge, "0", "0"],
+                 ["mcinv", "0", "2", "0", "1"], ["wedderburn", "1", huge, "0", "0"],
+                 ["wedderburn", "4097", "1", "0", "1"],
+                 ["isoq", "3", "2", "0", "2", "1", huge, "0", "0"],
+                 ["isoq", "4097", "1", "0", "1", "3", "2", "0", "2"],
+                 ["construct", "4097", "1", "1", "1", "1"],
+                 ["construct", "1", huge, "1", "1", "1"],
+                 ["construct", "4", "2", "0", "0", "1"],
+                 ["construct", "4", "2", "0", "3", "1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: "), argv
 
 
 def test_all_check_names_are_wired() -> None:

@@ -226,6 +226,28 @@ def test_coset_order() -> None:
     assert G.coset_order(G.gen_a, A) == 1
 
 
+def test_dlog_is_the_least_exponent_reaching_the_coset() -> None:
+    M = MetacyclicGroup(12, 4, 6, 5)
+    a, b = D8.gen_a, D8.gen_b
+    a2 = D8.cyclic_subgroup(D8.power(a, 2))
+    # (group, g, target, K, least e with target in K g^e; None for a miss)
+    table = [
+        (M, M.gen_a, M.power(M.gen_a, 7), None, 7),
+        (M, M.gen_b, M.power(M.gen_b, 3), None, 3),
+        (D8, a, D8.identity, None, 0),
+        (D8, a, D8.power(a, 3), a2, 1),
+        (D8, b, D8.mul(D8.power(a, 2), b), a2, 1),
+        (D8, a, b, None, None),
+        (D8, a, b, a2, None),
+    ]
+    for G, g, target, K, want in table:
+        if want is None:
+            with pytest.raises(ValueError):
+                G.dlog(g, target, K)
+        else:
+            assert G.dlog(g, target, K) == want
+
+
 def _has_cyclic_quotient(G: MetacyclicGroup, A, K) -> bool:
     q = A.order // K.order
     return any(G.coset_order(z, K) == q for z in A)

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 from collections import Counter
 
-from metacyclic.group import MetacyclicGroup
+import pytest
+
+from metacyclic import wedderburn
+from metacyclic.cli import main
+from metacyclic.group import InvariantError, MetacyclicGroup, Subgroup
+from metacyclic.invariants import mcinv
 from metacyclic.wedderburn import (
     DIFFERENT,
     EQUAL,
@@ -171,3 +178,30 @@ def test_component_json_keys() -> None:
     data = comp.to_json()
     assert set(data) == {"matrix_size", "conductor", "x", "y", "center", "degree", "dim"}
     assert data["dim"] == 4
+
+
+def test_caches_keep_no_subgroups() -> None:
+    # A presentation no other test classifies, so both caches start cold.
+    G = MetacyclicGroup(35, 4, 14, 6)
+    mcinv(G)
+    decomposition(G)
+    gc.collect()
+    assert not [S for S in gc.get_objects()
+                if isinstance(S, Subgroup) and S.group == G]
+    assert "elements" not in vars(G)
+
+
+def test_dimension_identity_failure_raises_invariant_error(capsys,
+                                                           monkeypatch) -> None:
+    real = wedderburn.component_of
+
+    def inflated(G, L, K):
+        comp = real(G, L, K)
+        return dataclasses.replace(comp, q_dimension=comp.q_dimension + 1)
+
+    monkeypatch.setattr(wedderburn, "component_of", inflated)
+    with pytest.raises(InvariantError, match="dimensions"):
+        decomposition.__wrapped__(S3)
+    # No other test decomposes this presentation, so the cache cannot answer.
+    assert main(["wedderburn", "13", "6", "0", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
