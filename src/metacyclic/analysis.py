@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .group import (
     El,
+    InvariantError,
     MetacyclicGroup,
     Subgroup,
     cocyclic_subgroup_from_triple,
@@ -497,7 +498,7 @@ def _witness_component(GC: MetacyclicGroup, case: str, L: Subgroup,
     component's degree and center intersections are the predicted ones."""
     try:
         comp = component_of(GC, L, K0)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, InvariantError) as exc:
         return [_entry(f"{case}: (L, K0) is a strong Shoda pair", False,
                        str(exc), "strong Shoda pair")]
     out = [_entry(f"{case}: (L, K0) is a strong Shoda pair", True,

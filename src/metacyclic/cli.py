@@ -38,7 +38,6 @@ from .invariants import (
     t_subgroup,
     tuple_from_parts,
     valid_tuples,
-    validate_tuple,
 )
 from .numth import part, units
 from .wedderburn import (
@@ -141,9 +140,6 @@ def cmd_construct(m: int, n: int, s: int, m_prime: int, delta_gen: int) -> list[
     if m_prime < 1 or m % m_prime:
         raise ValueError(f"m' = {m_prime} must be a positive divisor of m = {m}")
     inv = tuple_from_parts(m, n, s if s else m, m_prime, delta_gen)
-    ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
-    if not ok:
-        raise ValueError("tuple is not realizable: " + "; ".join(reasons))
     return [_tuple_row(inv, construct_group(inv))]
 
 

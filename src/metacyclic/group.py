@@ -154,11 +154,22 @@ class MetacyclicGroup:
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        seen: dict[frozenset, Subgroup] = {}
+        """Each cyclic subgroup once, generated by its least generator.
+        Once <x> is found, every x^j with gcd(j, |x|) = 1 is skipped."""
+        found = []
+        known: set[El] = set()
         for x in self.elements:
-            S = self.cyclic_subgroup(x)
-            seen.setdefault(S.elems, S)
-        return tuple(sorted(seen.values(), key=lambda S: (S.order, S.sorted_elems)))
+            if x in known:
+                continue
+            powers = [self.identity]
+            y = x
+            while y != self.identity:
+                powers.append(y)
+                y = self.mul(y, x)
+            k = len(powers)
+            known.update(powers[j] for j in range(1, k) if math.gcd(j, k) == 1)
+            found.append(Subgroup(self, frozenset(powers), (x,)))
+        return tuple(sorted(found, key=lambda S: (S.order, S.sorted_elems)))
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups.  Every subgroup is <a^d, a^e b^f> for some d | m,
@@ -190,9 +201,11 @@ class MetacyclicGroup:
 
     def conjugates(self, S: "Subgroup", gens=None) -> set["Subgroup"]:
         """Orbit of S under conjugation by the group generated by `gens`,
-        by default the whole group."""
+        by default the whole group.  The whole group conjugates S once by
+        each element of a transversal of the normalizer of S."""
         if gens is None:
-            gens = (self.gen_a, self.gen_b)
+            return {self.conjugate_subgroup(S, x)
+                    for x in self.transversal(self.normalizer(S))}
         return orbit(S, gens, self.conjugate_subgroup)
 
     def subgroup_classes(self, subs: Iterable["Subgroup"],
@@ -208,10 +221,32 @@ class MetacyclicGroup:
                 reps.append(S)
         return reps
 
+    def _split(self, member) -> tuple[int, int, int]:
+        """(c, e, f) for the subgroup H = {x : member(x)}: H meet <a> is
+        <a^c>, the image of H in G/<a> = C_n is <b^f>, and a^e b^f lies in
+        H with 0 <= e < c.  Then H = <a^c, a^e b^f>."""
+        m, n = self.m, self.n
+        c = next(d for d in divisors(m) if member((d % m, 0)))
+        return c, *next((e, f) for f in divisors(n) for e in range(c)
+                        if member((e, f % n)))
+
+    def transversal(self, H: "Subgroup") -> list[El]:
+        """{a^i b^j : i < c, j < f}, one element of each right coset H x."""
+        c, _, f = self._split(H.elems.__contains__)
+        return [(i, j) for i in range(c) for j in range(f)]
+
     def normalizer(self, S: "Subgroup") -> "Subgroup":
-        elems = [x for x in self.elements
-                 if all(self.conj(g, x) in S.elems for g in S.gens)]
-        return Subgroup(self, frozenset(elems))
+        """N_G(S) = <a^c, x> with x = a^e b^f, from the least c | m and
+        then the least f | n for which such elements normalize S."""
+        c, e, f = self._split(lambda x: all(self.conj(g, x) in S.elems
+                                            for g in S.gens))
+        x = (e, f % self.n)
+        xs = [self.identity]
+        while len(xs) < self.n // f:
+            xs.append(self.mul(xs[-1], x))
+        elems = frozenset(((c * k + i) % self.m, j)
+                          for i, j in xs for k in range(self.m // c))
+        return Subgroup(self, elems, ((c % self.m, 0), x))
 
     def core(self, S: "Subgroup") -> "Subgroup":
         """Largest normal subgroup of G inside S: the intersection of the
@@ -226,7 +261,9 @@ class MetacyclicGroup:
         gens = (self.element_part(self.gen_a, primes),
                 self.element_part(self.gen_b, primes))
         S = self.generated(gens)
-        assert S.order == part(self.order, primes)
+        if S.order != part(self.order, primes):
+            raise InvariantError(f"Hall {primes}-subgroup of {self!r} has "
+                                 f"order {S.order}")
         return S
 
     def sylow_subgroup(self, p: int) -> "Subgroup":

@@ -214,7 +214,7 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
     of t mod m (the largest abelian <a, b^j>, j | n).  Each returned K is
     the representative of its conjugacy class with the smallest element
     list, i.e. the first in the sorted subgroup order; conjugate
-    candidates qualify or fail together.  Normality of K in L is asserted
+    candidates qualify or fail together.  Normality of K in L is checked
     outright (it follows from L' <= K); cyclicity is checked during the
     search, and the remaining strong-pair axioms hold by the
     classification of metabelian group algebras, with
@@ -229,7 +229,8 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
     pairs = []
     for K in G.subgroup_classes(partner):
         L = partner[K]
-        assert all(G.conj(k, g) in K.elems for g in L.gens for k in K.elems)
+        if not all(G.conj(k, g) in K.elems for g in L.gens for k in K.gens):
+            raise InvariantError(f"{K!r} is not normal in {L!r} in {G!r}")
         pairs.append((L, K))
     return tuple(pairs)
 
@@ -384,12 +385,14 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     w^[N:L] = u^y mod K, and the center is the fixed field of <x> in
     Q(zeta_[L:K]).  K is first moved to the smallest member of its
     conjugacy class so conjugate inputs yield identical descriptors (the
-    twist depends on the representative, everything else does not).
+    twist depends on the representative, everything else does not).  N
+    contains a, hence G', so it is normal and normalizes every conjugate.
     """
     if _qualifies(G, K) != L:
         raise ValueError("(L, K) is not a strong Shoda pair of G")
-    K = min(G.conjugates(K), key=lambda S: S.sorted_elems)
     N = G.normalizer(K)
+    K = min((G.conjugate_subgroup(K, g) for g in G.transversal(N)),
+            key=lambda S: S.sorted_elems)
     idx = L.order // K.order
     u = _coset_generator(G, L, K)
     w = _coset_generator(G, N, L)
@@ -398,11 +401,13 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     y = G.dlog(u, G.power(w, N.order // L.order), K)
     action = cyclic_subgroup(x, idx)
     if idx > 1 and math.gcd(x, idx) != 1:
-        raise AssertionError("conjugation must act by a unit")
+        raise InvariantError("conjugation must act by a unit")
 
     matrix_size = G.order // N.order
     total_degree = G.order // L.order
-    assert total_degree == matrix_size * action.order
+    if total_degree != matrix_size * action.order:
+        raise InvariantError(f"degree {total_degree} is not {matrix_size} "
+                             f"times the action order {action.order}")
     center = fixed_field(idx, action)
     return SimpleComponent(
         matrix_size=matrix_size,

@@ -1,4 +1,4 @@
-"""Byte-identical CLI output: sha256 digests of three fixed runs.
+"""Byte-identical CLI output: sha256 digests of four fixed runs.
 
 A refactor that should change nothing must keep these digests.  A change
 that alters output on purpose updates them and says why.
@@ -18,6 +18,10 @@ CHECKS = "roundtrip,dimension,perlis-walker,recoverR,degpag,countB,countC,sectio
 PRESENTATIONS = ((3, 2, 0, 2), (4, 2, 2, 3), (4, 2, 0, 3), (8, 2, 0, 5),
                  (8, 2, 4, 7), (9, 3, 0, 4), (12, 4, 6, 5), (24, 2, 6, 5),
                  (32, 2, 0, 31), (12, 12, 6, 11), (21, 9, 0, 16))
+# Orders 384 to 512, where normalizers of large index and their
+# transversals do the most work.
+LARGE_PRESENTATIONS = ((48, 8, 0, 5), (96, 4, 0, 7), (32, 16, 0, 3),
+                       (64, 8, 32, 9))
 
 
 def _digest(*argvs: list[str]) -> str:
@@ -39,8 +43,13 @@ def test_enumerate_output_digest() -> None:
         "39669d8670928a67f547d77d290c9ee800a95de060d36b5fe87b77c2c108924e"
 
 
+def _wedderburn_digest(presentations) -> str:
+    return _digest(*[["wedderburn", *map(str, key), "--format", "json"]
+                     for key in presentations])
+
+
 def test_wedderburn_output_digest() -> None:
-    argvs = [["wedderburn", *map(str, key), "--format", "json"]
-             for key in PRESENTATIONS]
-    assert _digest(*argvs) == \
+    assert _wedderburn_digest(PRESENTATIONS) == \
         "4f2986d93bd900b75cae1c5c8805263a4361856c99067d18613dd22a34097263"
+    assert _wedderburn_digest(LARGE_PRESENTATIONS) == \
+        "1e7012829b45b65c601996f6ed1e6911921574ef750850f22c5255e250feb8c0"

@@ -202,6 +202,28 @@ def test_core_and_subgroup_classes_against_brute_force() -> None:
         assert len(G.subgroup_classes(subs)) == len(brute), G
 
 
+def test_lattice_operations_against_brute_force() -> None:
+    """normalizer, conjugates and cyclic_subgroups agree with scans over
+    every element for every subgroup of every class up to order 64."""
+    for inv in valid_tuples(64):
+        G = construct_group(inv)
+        for S in G.subgroups():
+            images = {x: frozenset(G.conj(g, x) for g in S.elems)
+                      for x in G.elements}
+            N = G.normalizer(S)
+            assert N.elems == {x for x, img in images.items() if img == S.elems}, (G, S)
+            assert G.generated(N.gens) == N
+            assert len(G.transversal(N)) == N.index
+            assert {C.elems for C in G.conjugates(S)} == set(images.values()), (G, S)
+        powers = {}
+        for x in G.elements:
+            powers.setdefault(frozenset(G.power(x, k) for k in range(G.order)), x)
+        cyc = G.cyclic_subgroups()
+        assert [(S.elems, S.gens) for S in cyc] == sorted(
+            ((P, (x,)) for P, x in powers.items()),
+            key=lambda Px: (len(Px[0]), sorted(Px[0]))), G
+
+
 def test_hall_and_sylow_subgroups() -> None:
     G = MetacyclicGroup(12, 2, 6, 5)
     assert G.sylow_subgroup(2).order == 8

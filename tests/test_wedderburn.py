@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from metacyclic import wedderburn
+from metacyclic import group, wedderburn
+from metacyclic.analysis import section7_witness
 from metacyclic.cli import main
 from metacyclic.group import InvariantError, MetacyclicGroup, Subgroup
 from metacyclic.invariants import mcinv
@@ -205,3 +206,30 @@ def test_dimension_identity_failure_raises_invariant_error(capsys,
     # No other test decomposes this presentation, so the cache cannot answer.
     assert main(["wedderburn", "13", "6", "0", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pair_and_component_checks_raise_invariant_error(monkeypatch) -> None:
+    # Warms the mcinv answer the witness reads, with every row passing.
+    G = MetacyclicGroup(24, 2, 6, 5)
+    assert all(e["status"] == "pass" for e in section7_witness(G, 2))
+
+    real_qualifies = wedderburn._qualifies
+    monkeypatch.setattr(wedderburn, "_qualifies", lambda H, K: (
+        None if real_qualifies(H, K) is None else H.l_subgroup(1)))
+    # This group has a non-normal K among its pairs, so L = G fails.
+    with pytest.raises(InvariantError, match="not normal"):
+        strong_shoda_pairs(MetacyclicGroup(3, 6, 0, 2))
+    monkeypatch.undo()
+
+    monkeypatch.setattr(wedderburn, "cyclic_subgroup",
+                        lambda x, d: cyclic_subgroup(1, d))
+    with pytest.raises(InvariantError, match="action order"):
+        decomposition.__wrapped__(S3)
+    fails = [e for e in section7_witness(G, 2) if e["status"] != "pass"]
+    assert len(fails) == 1 and "strong Shoda pair" in fails[0]["check"]
+    assert "action order" in fails[0]["lhs"]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(group, "part", lambda k, primes: 0)
+    with pytest.raises(InvariantError, match="Hall"):
+        G.hall_subgroup((2,))
