@@ -153,8 +153,8 @@ def recover_R(decomp, m_pi_prime: int) -> UnitSubgroup:
     top = max(comp.total_degree for comp in cands)
     centers = [comp.center for comp in cands if comp.total_degree == top]
     best = max(centers, key=lambda F: F.degree)
-    assert all(is_subfield(F, best) for F in centers), \
-        "maximal-degree centers are not nested"
+    if not all(is_subfield(F, best) for F in centers):
+        raise InvariantError("maximal-degree centers are not nested")
     return galois_preimage(best, m_pi_prime)
 
 
@@ -166,7 +166,7 @@ def max_degree_branch(G: MetacyclicGroup) -> int:
     if der.eps == -1 and der.k % 2:
         a2sq = GC.power(GC.element_part(GC.gen_a, (2,)), 2)
         b4 = GC.cyclic_subgroup(GC.power(GC.gen_b, 4))
-        if a2sq not in b4.elems:
+        if a2sq not in b4:
             return 2 * der.k
     return der.k
 
@@ -236,10 +236,9 @@ def formula_NE(G: MetacyclicGroup) -> int | None:
     subs = cocyclic_subgroups_of_product(GC, a_pp, b_pp_k)
     qs = sorted(primes_of(k))
     w = {q: GC.comm(GC.power(GC.gen_b, k // q), a_pp) for q in qs}
-    q1 = [P for P in subs if all(w[q] not in P.elems for q in qs)]
+    q1 = [P for P in subs if all(w[q] not in P for q in qs)]
     q2 = [P for P in subs
-          if w[2] in P.elems
-          and all(w[q] not in P.elems for q in qs if q != 2)]
+          if w[2] in P and all(w[q] not in P for q in qs if q != 2)]
     d = len(GC.subgroup_classes(q1))
     d1 = len(GC.subgroup_classes(q2))
     if shape == "split":
@@ -309,7 +308,8 @@ def _scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:
     e = G.dlog(a_p, rel)
     s_p = p_part(inv.s, p)
     w, back = divmod(e, s_p)
-    assert back == 0 and w % p != 0
+    if back or w % p == 0:
+        raise InvariantError(f"b_p^n_p = a_p^{e} is not a_p^(s_p w), w a unit")
     return G.power(a_p, w)
 
 
@@ -323,7 +323,8 @@ def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
     n_p = p_part(inv.n, p)
     v = min(n_p // l_p, p ** rho)
     u = p ** (mu + nu) // (v * l_p)
-    assert p ** (nu + 2 * rho) % (v * v * l_p) == 0
+    if p ** (nu + 2 * rho) % (v * v * l_p):
+        raise InvariantError(f"v^2 l_p = {v * v * l_p} does not divide p^(nu + 2 rho)")
     t = p ** (nu + 2 * rho) // (v * v * l_p)
     a_p = _scaled_sylow_generator(GC, p)
     b_p = GC.element_part(GC.gen_b, (p,))
@@ -333,8 +334,9 @@ def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
     else:
         g = GC.power(b_p, l_p)
         h = GC.mul(GC.power(b_p, p ** (nu - rho)), GC.inv(a_p))
-    assert GC.element_order(g) == u and GC.element_order(h) == v
-    assert GC.generated([g, h]).order == u * v
+    orders = (GC.element_order(g), GC.element_order(h), GC.generated([g, h]).order)
+    if orders != (u, v, u * v):
+        raise InvariantError(f"|g|, |h|, |<g, h>| = {orders}, not ({u}, {v}, {u * v})")
     return UVT(v, u, t, g, h)
 
 
@@ -383,7 +385,7 @@ def _mn_direct(GC: MetacyclicGroup, p: int, uvt: UVT, l: int,
     data = []
     for triple in cocyclic_triples(uvt.u, uvt.v, p):
         K = cocyclic_subgroup_from_triple(GC, uvt.g, uvt.h, triple)
-        data.append((triple[0], triple[1], w not in K.elems))
+        data.append((triple[0], triple[1], w not in K))
     M = {d: sum(_weight(i, y, uvt.t, d) for i, y, _ in data) for d in ds}
     N = {d: sum(_weight(i, y, uvt.t, d) for i, y, free in data if free)
          for d in ds}
@@ -452,14 +454,14 @@ def formula_NG(G: MetacyclicGroup, p: int, table: str = "direct") -> int:
     k1: dict[int, int] = {}
     k2: dict[int, int] = {}
     for P in cocyclic_subgroups_of_product(GC, a_pp, b_pp_l):
-        if any(w[q] in P.elems for q in primes_of(l) if q != p):
+        if any(w[q] in P for q in primes_of(l) if q != p):
             continue
-        N = GC.normalizer(P)
-        if GC.gen_a not in N.elems:
+        c, _, d = GC.normalizer(P).triple
+        if c != 1:  # N_G(K) must contain a, and is then <a, b^d>
             continue
-        d = GC.order // N.order
-        assert l % d == 0 and N.elems == GC.l_subgroup(d).elems
-        bucket = k2 if w[p] in P.elems else k1
+        if l % d:
+            raise InvariantError(f"[G : N_G(K)] = {d} does not divide l = {l}")
+        bucket = k2 if w[p] in P else k1
         bucket[d] = bucket.get(d, 0) + 1
 
     if p != 2 and GC.order % 2 == 0:
@@ -592,11 +594,13 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
                           r_p * k_p * s_p // n_p, mp_p))
         quot = n_p // k_p
         S = geom_sum(1 + r_p, quot)
-        assert S % quot == 0
+        if S % quot:
+            raise InvariantError(f"n_p / k_p = {quot} does not divide {S}")
         z = S // quot
         modulus = m_p // s_p
         y = z * pow(k // k_p, -1, modulus) % modulus if modulus > 1 else 1
-        assert y % p != 0
+        if y % p == 0:
+            raise InvariantError(f"twist exponent {y} is divisible by p = {p}")
         a_p = _scaled_sylow_generator(GC, p)
         b_odd = GC.element_part(GC.gen_b,
                                 tuple(q for q in primes_of(GC.order) if q != p))

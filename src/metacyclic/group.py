@@ -143,19 +143,32 @@ class MetacyclicGroup:
 
     # -- subgroups --------------------------------------------------------
 
-    def subgroup(self, elems: Iterable[El], gens=None) -> "Subgroup":
-        return Subgroup(self, frozenset(elems), gens)
-
     def generated(self, gens: Iterable[El]) -> "Subgroup":
-        gens = tuple(gens)
-        return Subgroup(self, frozenset(orbit(self.identity, gens, self.mul)), gens)
+        """<gens>, folding the generators one at a time into <a^c, x> with
+        x mapping to b^f in G/<a> = C_n.  For g = a^i b^j, y = x^u g^v
+        maps to b^d, d = gcd(f, j) = u f + v j; then x y^(-f/d) and
+        g y^(-j/d) lie in <a>, and <a^c, x, g> = <a^c', y> with c' the gcd
+        of c and their a-exponents.  Starting from x = 1 and f = n, the
+        term x y^(-f/d) keeps x^(n/f) in <a^c>, so the triple is canonical."""
+        c, x, f = self.m, self.identity, self.n
+        for g in gens:
+            j = g[1]
+            d = math.gcd(f, j)
+            v = pow(j // d, -1, f // d)
+            y = self.mul(self.power(x, (d - v * j) // f), self.power(g, v))
+            for z, k in ((x, f // d), (g, j // d)):
+                c = math.gcd(c, self.mul(z, self.power(y, -k))[0])
+            x, f = y, d
+        return Subgroup(self, c, x[0] % c, f)
 
     def cyclic_subgroup(self, x: El) -> "Subgroup":
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        """Each cyclic subgroup once, generated by its least generator.
-        Once <x> is found, every x^j with gcd(j, |x|) = 1 is skipped."""
+        """Each cyclic subgroup once, generated by its least generator x:
+        once <x> is found, every x^j with gcd(j, |x|) = 1 is skipped.  For
+        x = a^i b^j, f = gcd(j, n), <x> meets <a> in <x^(n/f)>, and x^u
+        with u j = f mod n lies in a^e b^f <a^c>."""
         found = []
         known: set[El] = set()
         for x in self.elements:
@@ -168,36 +181,32 @@ class MetacyclicGroup:
                 y = self.mul(y, x)
             k = len(powers)
             known.update(powers[j] for j in range(1, k) if math.gcd(j, k) == 1)
-            found.append(Subgroup(self, frozenset(powers), (x,)))
+            f = math.gcd(x[1], self.n)
+            c = math.gcd(self.m, powers[self.n // f % k][0])
+            e = powers[pow(x[1] // f, -1, self.n // f)][0] % c
+            S = Subgroup(self, c, e, f)
+            S.elems = frozenset(powers)
+            found.append(S)
         return tuple(sorted(found, key=lambda S: (S.order, S.sorted_elems)))
 
     def subgroups(self) -> tuple["Subgroup", ...]:
-        """All subgroups.  Every subgroup is <a^d, a^e b^f> for some d | m,
-        f | n and 0 <= e < d, so closing those candidate pairs is exhaustive."""
-        a, b = self.gen_a, self.gen_b
-        seen: dict[frozenset, Subgroup] = {}
-        for d in divisors(self.m):
-            ad = self.power(a, d)
-            S = self.generated([ad])
-            seen.setdefault(S.elems, S)
-            for f in divisors(self.n):
-                if f == self.n:
-                    continue
-                bf = self.power(b, f)
-                for e in range(d):
-                    S = self.generated([ad, self.mul((e, 0), bf)])
-                    seen.setdefault(S.elems, S)
-        return tuple(sorted(seen.values(), key=lambda S: (S.order, S.sorted_elems)))
+        """All subgroups, one per canonical triple, sorted by order and
+        then by element list."""
+        subs = [Subgroup(self, c, e, f)
+                for c in divisors(self.m) for f in divisors(self.n)
+                for e in range(c)
+                if self.power((e, f % self.n), self.n // f)[0] % c == 0]
+        return tuple(sorted(subs, key=lambda S: (S.order, S.sorted_elems)))
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""
-        g = math.gcd(d, self.n)
-        elems = frozenset((i, j) for i in range(self.m) for j in range(0, self.n, g))
-        return Subgroup(self, elems, (self.gen_a, self.power(self.gen_b, d)))
+        return Subgroup(self, 1, 0, math.gcd(d, self.n))
 
     def conjugate_subgroup(self, S: "Subgroup", x: El) -> "Subgroup":
-        return Subgroup(self, frozenset(self.conj(g, x) for g in S.elems),
-                        tuple(self.conj(g, x) for g in S.gens))
+        """x^-1 S x.  Conjugation fixes <a^c> and the image b^f of
+        a^e b^f, so only e moves."""
+        c, _, f = S.triple
+        return Subgroup(self, c, self.conj(S.gens[1], x)[0] % c, f)
 
     def conjugates(self, S: "Subgroup", gens=None) -> set["Subgroup"]:
         """Orbit of S under conjugation by the group generated by `gens`,
@@ -221,41 +230,34 @@ class MetacyclicGroup:
                 reps.append(S)
         return reps
 
-    def _split(self, member) -> tuple[int, int, int]:
-        """(c, e, f) for the subgroup H = {x : member(x)}: H meet <a> is
-        <a^c>, the image of H in G/<a> = C_n is <b^f>, and a^e b^f lies in
-        H with 0 <= e < c.  Then H = <a^c, a^e b^f>."""
+    def _from_member(self, member) -> "Subgroup":
+        """The subgroup H = {x : member(x)}: H meet <a> is <a^c>, the
+        image of H in G/<a> = C_n is <b^f>, and a^e b^f lies in H with
+        0 <= e < c."""
         m, n = self.m, self.n
         c = next(d for d in divisors(m) if member((d % m, 0)))
-        return c, *next((e, f) for f in divisors(n) for e in range(c)
-                        if member((e, f % n)))
+        e, f = next((e, f) for f in divisors(n) for e in range(c)
+                    if member((e, f % n)))
+        return Subgroup(self, c, e, f)
 
     def transversal(self, H: "Subgroup") -> list[El]:
         """{a^i b^j : i < c, j < f}, one element of each right coset H x."""
-        c, _, f = self._split(H.elems.__contains__)
+        c, _, f = H.triple
         return [(i, j) for i in range(c) for j in range(f)]
 
     def normalizer(self, S: "Subgroup") -> "Subgroup":
-        """N_G(S) = <a^c, x> with x = a^e b^f, from the least c | m and
-        then the least f | n for which such elements normalize S."""
-        c, e, f = self._split(lambda x: all(self.conj(g, x) in S.elems
-                                            for g in S.gens))
-        x = (e, f % self.n)
-        xs = [self.identity]
-        while len(xs) < self.n // f:
-            xs.append(self.mul(xs[-1], x))
-        elems = frozenset(((c * k + i) % self.m, j)
-                          for i, j in xs for k in range(self.m // c))
-        return Subgroup(self, elems, ((c % self.m, 0), x))
+        """N_G(S), from the least c | m and then the least f | n for which
+        a^c and some a^e b^f normalize S."""
+        return self._from_member(S.normalized_by)
 
     def core(self, S: "Subgroup") -> "Subgroup":
         """Largest normal subgroup of G inside S: the intersection of the
         conjugates of S."""
-        return Subgroup(self, frozenset.intersection(
-            *(C.elems for C in self.conjugates(S))))
+        conjugates = self.conjugates(S)
+        return self._from_member(lambda x: all(x in C for C in conjugates))
 
     def derived_subgroup(self) -> "Subgroup":
-        return self.cyclic_subgroup((math.gcd(self.t - 1, self.m) % self.m, 0))
+        return Subgroup(self, math.gcd(self.t - 1, self.m), 0, self.n)
 
     def hall_subgroup(self, primes) -> "Subgroup":
         gens = (self.element_part(self.gen_a, primes),
@@ -265,9 +267,6 @@ class MetacyclicGroup:
             raise InvariantError(f"Hall {primes}-subgroup of {self!r} has "
                                  f"order {S.order}")
         return S
-
-    def sylow_subgroup(self, p: int) -> "Subgroup":
-        return self.hall_subgroup((p,))
 
     # -- structure --------------------------------------------------------
 
@@ -320,20 +319,27 @@ class MetacyclicGroup:
 
 
 class Subgroup:
-    """A subgroup, stored by its element set plus a generating tuple."""
+    """<a^c, a^e b^f>, stored as its canonical triple (c, e, f): c | m,
+    f | n, 0 <= e < c and (a^e b^f)^(n/f) in <a^c>, so the subgroup meets
+    <a> in <a^c> and maps onto <b^f> in G/<a>, and no other triple gives
+    it.  The element set is built on first use."""
 
-    def __init__(self, group: MetacyclicGroup, elems: frozenset, gens=None):
+    def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int):
         self.group = group
-        self.elems = frozenset(elems)
-        self.gens = tuple(gens) if gens is not None else tuple(sorted(self.elems))
+        self.triple = (c, e, f)
+        self.gens = ((c % group.m, 0), (e, f % group.n))
+        self.order = group.m // c * (group.n // f)
 
-    @property
-    def order(self) -> int:
-        return len(self.elems)
-
-    @property
-    def index(self) -> int:
-        return self.group.order // len(self.elems)
+    @cached_property
+    def elems(self) -> frozenset:
+        """{a^(ck) x^l : k < m/c, l < n/f} with x = a^e b^f."""
+        G = self.group
+        c, x = self.triple[0], self.gens[1]
+        xs = [G.identity]
+        while len(xs) < G.n // self.triple[2]:
+            xs.append(G.mul(xs[-1], x))
+        return frozenset(((c * k + i) % G.m, j)
+                         for i, j in xs for k in range(G.m // c))
 
     @cached_property
     def sorted_elems(self) -> tuple[El, ...]:
@@ -354,28 +360,35 @@ class Subgroup:
 
     @cached_property
     def is_normal(self) -> bool:
-        G = self.group
-        return all(G.conj(g, c) in self.elems
-                   for g in self.gens for c in (G.gen_a, G.gen_b))
+        return all(map(self.normalized_by, (self.group.gen_a, self.group.gen_b)))
+
+    def normalized_by(self, g: El) -> bool:
+        """Whether g^-1 S g = S.  Conjugation fixes <a^c>, which is normal
+        in G, and the b-exponent f of x = a^e b^f, so it fixes S iff x^g
+        is a^i b^f with i = e mod c."""
+        c, e, _ = self.triple
+        return (self.group.conj(self.gens[1], g)[0] - e) % c == 0
 
     def __contains__(self, x: El) -> bool:
-        return x in self.elems
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elems <= other.elems
+        """a^i b^j lies in the subgroup iff f | j and i agrees mod c with
+        the a-exponent of (a^e b^f)^(j/f)."""
+        c, _, f = self.triple
+        i, j = x
+        return j % f == 0 and (
+            i - self.group.power(self.gens[1], j // f)[0]) % c == 0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and self.group.key == other.group.key
-                and self.elems == other.elems)
+                and self.triple == other.triple)
 
     def __hash__(self) -> int:
-        return hash((self.group.key, self.elems))
+        return hash((self.group.key, self.triple))
 
     def __iter__(self):
         return iter(self.sorted_elems)
 
     def __repr__(self) -> str:
-        return f"Subgroup(order={self.order}, gens={self.gens})"
+        return f"Subgroup(order={self.order}, triple={self.triple})"
 
 
 def cocyclic_triples(g_ord: int, h_ord: int, p: int) -> list[tuple[int, int, int]]:
@@ -407,12 +420,6 @@ def cocyclic_subgroup_from_triple(G: MetacyclicGroup, g: El, h: El,
     return G.generated([G.mul(G.power(g, x), h), G.power(g, y)])
 
 
-def _product_subgroup(G: MetacyclicGroup, S1: Subgroup, S2: Subgroup) -> Subgroup:
-    """Product of two subgroups that centralize each other."""
-    elems = {G.mul(x, y) for x in S1.elems for y in S2.elems}
-    return Subgroup(G, frozenset(elems), S1.gens + S2.gens)
-
-
 def cocyclic_subgroups_of_product(G: MetacyclicGroup, g: El, h: El) -> list[Subgroup]:
     """Subgroups with cyclic quotient of the abelian group <g> x <h>.
 
@@ -421,8 +428,9 @@ def cocyclic_subgroups_of_product(G: MetacyclicGroup, g: El, h: El) -> list[Subg
     back together.
     """
     A = G.generated([g, h])
-    assert G.element_order(g) * G.element_order(h) == A.order
-    result = [Subgroup(G, frozenset([G.identity]), (G.identity,))]
+    if G.element_order(g) * G.element_order(h) != A.order:
+        raise InvariantError(f"<{g}> and <{h}> meet nontrivially in {G!r}")
+    result = [Subgroup(G, G.m, 0, G.n)]
     for p in sorted(primes_of(A.order)):
         gp = G.element_part(g, (p,))
         hp = G.element_part(h, (p,))
@@ -431,5 +439,5 @@ def cocyclic_subgroups_of_product(G: MetacyclicGroup, g: El, h: El) -> list[Subg
         local = [cocyclic_subgroup_from_triple(G, gp, hp, tr)
                  for tr in cocyclic_triples(G.element_order(gp),
                                             G.element_order(hp), p)]
-        result = [_product_subgroup(G, S, K) for S in result for K in local]
+        result = [G.generated(S.gens + K.gens) for S in result for K in local]
     return result

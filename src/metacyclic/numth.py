@@ -2,7 +2,6 @@
 
 Everything here is plain integer arithmetic; factorisations use trial
 division, which is ample for the group orders this package targets.
-`orbit` is the closure routine every layer above builds on.
 """
 
 from __future__ import annotations
@@ -188,9 +187,10 @@ def unit_subgroup(modulus: int, elements) -> UnitSubgroup:
 def orbit(start, gens, act) -> set:
     """Closure of {start} under x -> act(x, g) for every g in gens.
 
-    The one breadth-first closure of the package: subgroups generated by
-    elements, conjugacy classes and conjugation orbits of subgroups are
-    all orbits of this form.
+    The one breadth-first closure of the package, behind unit subgroups
+    mod n, conjugacy classes and the conjugation orbits of a subaction.
+    Subgroups of a metacyclic group are never closed this way; the tests
+    use it as the oracle for their canonical triples.
     """
     seen = {start}
     frontier = [start]

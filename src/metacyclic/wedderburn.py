@@ -106,7 +106,8 @@ def fixed_field(d: int, T: UnitSubgroup) -> FixedField:
         rem = 1 % d0
         if all(x % d0 != rem or x in fix for x in units(d)):
             fixer = restrict(T, d0)
-            assert phi(d) // T.order == phi(d0) // fixer.order
+            if phi(d) // T.order != phi(d0) // fixer.order:
+                raise InvariantError(f"fixer of {T} loses order at conductor {d0}")
             return FixedField(d0, fixer)
     raise AssertionError("d itself always qualifies")
 
@@ -173,36 +174,22 @@ def roots_of_unity_order(F: FixedField) -> int:
 # strong Shoda pairs
 
 
-def _jgcd(G: MetacyclicGroup, K: Subgroup) -> int:
-    g = G.n
-    for _, j in K.elems:
-        g = math.gcd(g, j)
-    return g
-
-
-def _pair_data(G: MetacyclicGroup, K: Subgroup) -> tuple[int, int]:
-    """(i0, e0): index of K meet <a> in <a>, and the least d with
-    <a, b^d> having derived subgroup inside K."""
-    fixed = sum(1 for _, j in K.elems if j == 0)
-    i0 = G.m // fixed
-    return i0, mult_order(G.t, i0)
-
-
 def _qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:
     """The partner L making (L, K) a strong Shoda pair, if any.
 
     L must contain A = <a, b^j0>, so L = <a, b^d> with d | j0; the derived
-    subgroup condition forces e0 | d and maximality forces d = e0.  K lies
-    in L iff e0 divides every b-exponent in K, and L/K (abelian, generated
-    by the cosets of a and b^e0) is cyclic iff the lcm of their coset
-    orders is the full index |L| / |K|, with |L| = m n / gcd(e0, n), so
-    L is only built for a K that passes.
+    subgroup condition forces e0 | d, e0 the order of t mod c for
+    K = <a^c, a^e b^f>, and maximality forces d = e0.  K lies in L iff
+    e0 | f, and L/K (abelian, generated by the cosets of a and b^e0) is
+    cyclic iff the lcm of their coset orders is the full index |L| / |K|,
+    with |L| = m n / gcd(e0, n).
     """
-    i0, e0 = _pair_data(G, K)
-    if _jgcd(G, K) % e0:
+    c, _, f = K.triple
+    e0 = mult_order(G.t, c)
+    if f % e0:
         return None
     o2 = G.coset_order(G.power(G.gen_b, e0), K)
-    if lcm(i0, o2) != G.order // math.gcd(e0, G.n) // K.order:
+    if lcm(c, o2) != G.order // math.gcd(e0, G.n) // K.order:
         return None
     return G.l_subgroup(e0)
 
@@ -229,7 +216,7 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
     pairs = []
     for K in G.subgroup_classes(partner):
         L = partner[K]
-        if not all(G.conj(k, g) in K.elems for g in L.gens for k in K.gens):
+        if not all(K.normalized_by(g) for g in L.gens):
             raise InvariantError(f"{K!r} is not normal in {L!r} in {G!r}")
         pairs.append((L, K))
     return tuple(pairs)
@@ -449,7 +436,8 @@ def perlis_walker(abelian_invariants) -> tuple[tuple[int, int], ...]:
     out = []
     for d in divisors(exponent):
         if exact[d]:
-            assert exact[d] % phi(d) == 0
+            if exact[d] % phi(d):
+                raise InvariantError(f"phi({d}) does not divide {exact[d]}")
             out.append((d, exact[d] // phi(d)))
     return tuple(out)
 

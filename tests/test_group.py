@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import random
 from functools import reduce
 
 import pytest
 
 from metacyclic.group import (
     MetacyclicGroup,
+    Subgroup,
     cocyclic_subgroup_from_triple,
     cocyclic_subgroups_of_product,
     cocyclic_triples,
 )
 from metacyclic.invariants import construct_group, valid_tuples
-from metacyclic.numth import p_part
+from metacyclic.numth import divisors, orbit, p_part
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -213,32 +215,53 @@ def test_lattice_operations_against_brute_force() -> None:
             N = G.normalizer(S)
             assert N.elems == {x for x, img in images.items() if img == S.elems}, (G, S)
             assert G.generated(N.gens) == N
-            assert len(G.transversal(N)) == N.index
+            assert {x for x in G.elements if x in S} == S.elems, (G, S)
+            assert len(G.transversal(N)) == G.order // N.order
             assert {C.elems for C in G.conjugates(S)} == set(images.values()), (G, S)
         powers = {}
         for x in G.elements:
             powers.setdefault(frozenset(G.power(x, k) for k in range(G.order)), x)
         cyc = G.cyclic_subgroups()
-        assert [(S.elems, S.gens) for S in cyc] == sorted(
-            ((P, (x,)) for P, x in powers.items()),
-            key=lambda Px: (len(Px[0]), sorted(Px[0]))), G
+        assert all(Subgroup(G, *S.triple).elems == S.elems for S in cyc), G
+        assert [(S.elems, S.generator) for S in cyc] == sorted(
+            powers.items(), key=lambda Px: (len(Px[0]), sorted(Px[0]))), G
+
+
+def test_triples_against_bfs_closures() -> None:
+    """subgroups() against the breadth-first closures of every candidate
+    <a^d, a^e b^f>, and generated() against the closures of seeded random
+    generator lists, for every class up to order 128."""
+    rng = random.Random(0)
+    for inv in valid_tuples(128):
+        G = construct_group(inv)
+        closures = {frozenset(orbit(G.identity, (G.power(G.gen_a, d),
+                                                 G.mul((e, 0), G.power(G.gen_b, f))),
+                                    G.mul))
+                    for d in divisors(G.m) for f in divisors(G.n) for e in range(d)}
+        subs = G.subgroups()
+        assert [S.elems for S in subs] == sorted(
+            closures, key=lambda P: (len(P), sorted(P))), G
+        assert len({S.triple for S in subs}) == len(subs), G
+        assert all(G.generated(S.gens) == S for S in subs), G
+        for _ in range(20):
+            gens = rng.choices(G.elements, k=rng.randint(0, 3))
+            assert G.generated(gens).elems == orbit(G.identity, gens, G.mul), (G, gens)
 
 
 def test_hall_and_sylow_subgroups() -> None:
     G = MetacyclicGroup(12, 2, 6, 5)
-    assert G.sylow_subgroup(2).order == 8
-    assert G.sylow_subgroup(3).order == 3
+    assert G.hall_subgroup((2,)).order == 8
     assert G.hall_subgroup((3,)).order == 3
     assert G.hall_subgroup((2, 3)).order == 24
     assert G.hall_subgroup(()).order == 1
-    assert M16.sylow_subgroup(2).is_normal
+    assert M16.hall_subgroup((2,)).is_normal
 
 
 def test_subgroup_relations() -> None:
     A = D8.cyclic_subgroup(D8.gen_a)
-    assert D8.derived_subgroup() <= A
+    assert D8.derived_subgroup().elems <= A.elems
     assert A.is_normal
-    assert A.index == 2
+    assert D8.order // A.order == 2
 
 
 def test_coset_order() -> None:

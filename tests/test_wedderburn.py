@@ -90,7 +90,7 @@ def test_strong_shoda_pairs_counts_and_idempotents() -> None:
         pairs = strong_shoda_pairs(G)
         assert len(pairs) == count
         for L, K in pairs:
-            assert K <= L
+            assert K.elems <= L.elems
             assert idempotent_check(G, L, K)
 
 
@@ -206,6 +206,13 @@ def test_dimension_identity_failure_raises_invariant_error(capsys,
     # No other test decomposes this presentation, so the cache cannot answer.
     assert main(["wedderburn", "13", "6", "0", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fixed_field_order_check_raises_invariant_error(monkeypatch) -> None:
+    # fixed_field is cached, so a fixer of the wrong order must raise.
+    monkeypatch.setattr(wedderburn, "restrict", lambda T, q: cyclic_subgroup(1, q))
+    with pytest.raises(InvariantError, match="conductor 8"):
+        fixed_field.__wrapped__(8, cyclic_subgroup(7, 8))
 
 
 def test_pair_and_component_checks_raise_invariant_error(monkeypatch) -> None:
