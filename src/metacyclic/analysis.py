@@ -468,7 +468,7 @@ def formula_NG(G: MetacyclicGroup, p: int, table: str = "direct") -> int:
         a2 = GC.element_part(GC.gen_a, (2,))
         b2l = GC.power(GC.element_part(GC.gen_b, (2,)), l)
         L2 = GC.generated([a2, b2l])
-        squares = GC.generated([GC.power(x, 2) for x in L2.elems])
+        squares = GC.generated([GC.power(x, 2) for x in L2])
         O = L2.order // squares.order
     else:
         O = 1

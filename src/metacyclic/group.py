@@ -17,17 +17,10 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable
 
-from .numth import crt_exponent, divisors, geom_sum_mod, orbit, part, primes_of
+from .numth import (InvariantError, crt_exponent, divisors, geom_sum_mod,
+                    orbit, part, primes_of)
 
 El = tuple[int, int]
-
-
-class InvariantError(RuntimeError):
-    """A mathematical identity that every correct answer satisfies failed.
-
-    Raised instead of `assert` on the paths whose results are cached, so
-    `python -O` cannot strip the check and a wrong answer is never kept.
-    """
 
 
 class MetacyclicGroup:
@@ -125,7 +118,7 @@ class MetacyclicGroup:
 
     def dlog(self, g: El, target: El, K: "Subgroup | None" = None) -> int:
         """Least e >= 0 with target in K g^e (target = g^e when K is None)."""
-        members = K.elems if K is not None else {self.identity}
+        members = K if K is not None else (self.identity,)
         g_inv = self.inv(g)
         y = target
         for e in range(self.element_order(g)):
@@ -137,9 +130,9 @@ class MetacyclicGroup:
     def coset_order(self, x: El, K: "Subgroup") -> int:
         """Least k >= 1 with x^k in K; always a divisor of the order of x."""
         for d in divisors(self.element_order(x)):
-            if self.power(x, d) in K.elems:
+            if self.power(x, d) in K:
                 return d
-        raise AssertionError("x^|x| = 1 lies in K")
+        raise InvariantError(f"x^|x| = 1 does not lie in {K!r}")
 
     # -- subgroups --------------------------------------------------------
 
@@ -165,7 +158,7 @@ class MetacyclicGroup:
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        """Each cyclic subgroup once, generated by its least generator x:
+        """Each cyclic subgroup once, with its least generator x as `generator`:
         once <x> is found, every x^j with gcd(j, |x|) = 1 is skipped.  For
         x = a^i b^j, f = gcd(j, n), <x> meets <a> in <x^(n/f)>, and x^u
         with u j = f mod n lies in a^e b^f <a^c>."""
@@ -185,9 +178,9 @@ class MetacyclicGroup:
             c = math.gcd(self.m, powers[self.n // f % k][0])
             e = powers[pow(x[1] // f, -1, self.n // f)][0] % c
             S = Subgroup(self, c, e, f)
-            S.elems = frozenset(powers)
-            found.append(S)
-        return tuple(sorted(found, key=lambda S: (S.order, S.sorted_elems)))
+            S.generator = x
+            found.append((k, sorted(powers), S))
+        return tuple(S for *_, S in sorted(found))
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, one per canonical triple, sorted by order and
@@ -196,7 +189,7 @@ class MetacyclicGroup:
                 for c in divisors(self.m) for f in divisors(self.n)
                 for e in range(c)
                 if self.power((e, f % self.n), self.n // f)[0] % c == 0]
-        return tuple(sorted(subs, key=lambda S: (S.order, S.sorted_elems)))
+        return tuple(sorted(subs, key=lambda S: (S.order, tuple(S))))
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""
@@ -322,7 +315,8 @@ class Subgroup:
     """<a^c, a^e b^f>, stored as its canonical triple (c, e, f): c | m,
     f | n, 0 <= e < c and (a^e b^f)^(n/f) in <a^c>, so the subgroup meets
     <a> in <a^c> and maps onto <b^f> in G/<a>, and no other triple gives
-    it.  The element set is built on first use."""
+    it.  Membership is arithmetic and iteration is lazy and sorted; only
+    `idempotent_check` and the tests build the element set `elems`."""
 
     def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int):
         self.group = group
@@ -332,24 +326,13 @@ class Subgroup:
 
     @cached_property
     def elems(self) -> frozenset:
-        """{a^(ck) x^l : k < m/c, l < n/f} with x = a^e b^f."""
-        G = self.group
-        c, x = self.triple[0], self.gens[1]
-        xs = [G.identity]
-        while len(xs) < G.n // self.triple[2]:
-            xs.append(G.mul(xs[-1], x))
-        return frozenset(((c * k + i) % G.m, j)
-                         for i, j in xs for k in range(G.m // c))
-
-    @cached_property
-    def sorted_elems(self) -> tuple[El, ...]:
-        return tuple(sorted(self.elems))
+        return frozenset(self)
 
     @cached_property
     def generator(self) -> El | None:
         """Smallest element of full order, None when the subgroup is not cyclic."""
         k = self.order
-        for x in self.sorted_elems:
+        for x in self:
             if self.group.element_order(x) == k:
                 return x
         return None
@@ -385,7 +368,16 @@ class Subgroup:
         return hash((self.group.key, self.triple))
 
     def __iter__(self):
-        return iter(self.sorted_elems)
+        """The elements in sorted order.  S is {a^(ck) x^l} with x = a^e b^f
+        and x^l = a^i b^(lf), so row i mod c lists those l f, l < n/f."""
+        G = self.group
+        c, _, f = self.triple
+        rows: list[list[int]] = [[] for _ in range(c)]
+        y = G.identity
+        for j in range(0, G.n, f):
+            rows[y[0] % c].append(j)
+            y = G.mul(y, self.gens[1])
+        return ((i, j) for i in range(G.m) for j in rows[i % c])
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, triple={self.triple})"

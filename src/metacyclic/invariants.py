@@ -192,7 +192,7 @@ def _minimal_pairs(G: MetacyclicGroup):
     for A in cyclics:
         if A.is_normal:
             ranked.append((A.order, rek_of(G, A)[0], A))
-    ranked.sort(key=lambda t: (t[0], t[1], t[2].sorted_elems))
+    ranked.sort(key=lambda t: t[:2])
     best_key = None
     pairs: list[tuple[Subgroup, Subgroup]] = []
     for oa, ra, A in ranked:
@@ -200,10 +200,10 @@ def _minimal_pairs(G: MetacyclicGroup):
             break
         n = order // oa
         for B in cyclics:
-            inter = len(A.elems & B.elems)
-            if B.order != n * inter:
+            # A is normal, so G = AB iff B maps onto the cyclic G/A.
+            if B.order % n or G.coset_order(B.generator, A) != n:
                 continue
-            key = (oa, ra, oa // inter)
+            key = (oa, ra, order // B.order)
             if best_key is None or key < best_key:
                 best_key, pairs = key, [(A, B)]
             elif key == best_key:
@@ -217,7 +217,7 @@ def minimal_factorization(G: MetacyclicGroup) -> tuple[Subgroup, Subgroup]:
     """A factorization G = AB achieving the lexicographic minimum of
     (|A|, r(A), [G:B]); ties are broken by the smallest element lists."""
     _, pairs = _minimal_pairs(G)
-    return min(pairs, key=lambda AB: (AB[0].sorted_elems, AB[1].sorted_elems))
+    return min(pairs, key=lambda AB: (tuple(AB[0]), tuple(AB[1])))
 
 
 def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -350,7 +350,7 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
         if any(restrict(gen, q) != sub for q, sub in local.items()):
             continue
         return MetacyclicGroup(m, n, s_res, x)
-    raise AssertionError("validated tuple admits no action exponent")
+    raise InvariantError(f"validated tuple {inv} admits no action exponent")
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,14 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 
+class InvariantError(RuntimeError):
+    """A mathematical identity that every correct answer satisfies failed.
+
+    Raised instead of `assert` on the paths whose results are cached, so
+    `python -O` cannot strip the check and a wrong answer is never kept.
+    """
+
+
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 1 into sorted (prime, exponent) pairs."""
@@ -89,7 +97,7 @@ def mult_order(x: int, n: int) -> int:
     for d in divisors(phi(n)):
         if pow(x, d, n) == 1:
             return d
-    raise AssertionError("order must divide phi(n)")
+    raise InvariantError(f"the order of {x} mod {n} does not divide phi(n)")
 
 
 def geom_sum(x: int, n: int) -> int:

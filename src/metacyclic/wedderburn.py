@@ -109,7 +109,7 @@ def fixed_field(d: int, T: UnitSubgroup) -> FixedField:
             if phi(d) // T.order != phi(d0) // fixer.order:
                 raise InvariantError(f"fixer of {T} loses order at conductor {d0}")
             return FixedField(d0, fixer)
-    raise AssertionError("d itself always qualifies")
+    raise InvariantError(f"no conductor of {T} qualifies, not even {d}")
 
 
 RATIONALS = fixed_field(1, trivial_subgroup(1))
@@ -253,12 +253,12 @@ def _epsilon(G: MetacyclicGroup, L: Subgroup, K: Subgroup, u: El) -> _Vec:
     D_q/K is the unique subgroup of order q of the cyclic L/K; the empty
     product (L = K) is K-hat itself."""
     idx = L.order // K.order
-    eps = _hat(K.sorted_elems)
+    eps = k_hat = _hat(K.elems)
     for q in {p for p, _ in prime_factors(idx)}:
         step = G.power(u, idx // q)
         d_elems = {G.mul(k, G.power(step, i)) for k in K.elems for i in range(q)}
         term = _hat(sorted(d_elems))
-        diff = dict(_hat(K.sorted_elems))
+        diff = dict(k_hat)
         for x, c in term.items():
             v = diff.get(x, 0) - c
             if v:
@@ -304,7 +304,7 @@ def idempotent_check(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> bool:
         key = frozenset(v.items())
         if key not in variants:
             variants[key] = v
-            if g not in N.elems:
+            if g not in N:
                 outside.append(v)
     for v in outside:
         if _alg_mul(G, v, eps):
@@ -379,7 +379,7 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
         raise ValueError("(L, K) is not a strong Shoda pair of G")
     N = G.normalizer(K)
     K = min((G.conjugate_subgroup(K, g) for g in G.transversal(N)),
-            key=lambda S: S.sorted_elems)
+            key=tuple)
     idx = L.order // K.order
     u = _coset_generator(G, L, K)
     w = _coset_generator(G, N, L)

@@ -1,4 +1,4 @@
-"""Byte-identical CLI output: sha256 digests of four fixed runs.
+"""Byte-identical CLI output: sha256 digests of five fixed runs.
 
 A refactor that should change nothing must keep these digests.  A change
 that alters output on purpose updates them and says why.
@@ -9,7 +9,7 @@ import contextlib
 import hashlib
 import io
 
-from metacyclic.cli import main
+from metacyclic.cli import _emit, cmd_mcinv, consistent_presentations, main
 
 # Every check but iso-oracle, whose cost at its cap would dominate.
 CHECKS = "roundtrip,dimension,perlis-walker,recoverR,degpag,countB,countC,section7"
@@ -53,3 +53,13 @@ def test_wedderburn_output_digest() -> None:
         "4f2986d93bd900b75cae1c5c8805263a4361856c99067d18613dd22a34097263"
     assert _wedderburn_digest(LARGE_PRESENTATIONS) == \
         "1e7012829b45b65c601996f6ed1e6911921574ef750850f22c5255e250feb8c0"
+
+
+def test_mcinv_output_digest() -> None:
+    # The bytes of `mcinv m n s t --format json` for every presentation
+    # with m*n <= 64, written without building 3786 argument parsers.
+    buf = io.StringIO()
+    for G in consistent_presentations(64):
+        _emit(cmd_mcinv(*G.key), "json", buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "b6e475424374486ff0786fd4b1e1e383148ce3001beaad6c7aea8583d045e7e8"

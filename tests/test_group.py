@@ -181,7 +181,7 @@ def test_conjugates_and_subgroup_classes() -> None:
     # <a>, two Klein fours and the whole group
     reps = D8.subgroup_classes(D8.subgroups())
     assert len(reps) == 8
-    assert reps == sorted(reps, key=lambda S: (S.order, S.sorted_elems))
+    assert reps == sorted(reps, key=lambda S: (S.order, tuple(S)))
     # conjugation by a alone already moves every reflection subgroup
     assert len(D8.subgroup_classes(D8.subgroups(), gens=(D8.gen_a,))) == 8
     # the trivial subaction leaves every subgroup in its own orbit
@@ -230,7 +230,8 @@ def test_lattice_operations_against_brute_force() -> None:
 def test_triples_against_bfs_closures() -> None:
     """subgroups() against the breadth-first closures of every candidate
     <a^d, a^e b^f>, and generated() against the closures of seeded random
-    generator lists, for every class up to order 128."""
+    generator lists, for every class up to order 128.  Iterating a
+    subgroup lists its closure in sorted order."""
     rng = random.Random(0)
     for inv in valid_tuples(128):
         G = construct_group(inv)
@@ -239,8 +240,8 @@ def test_triples_against_bfs_closures() -> None:
                                     G.mul))
                     for d in divisors(G.m) for f in divisors(G.n) for e in range(d)}
         subs = G.subgroups()
-        assert [S.elems for S in subs] == sorted(
-            closures, key=lambda P: (len(P), sorted(P))), G
+        assert [list(S) for S in subs] == sorted(
+            map(sorted, closures), key=lambda P: (len(P), P)), G
         assert len({S.triple for S in subs}) == len(subs), G
         assert all(G.generated(S.gens) == S for S in subs), G
         for _ in range(20):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from metacyclic import group, wedderburn
-from metacyclic.analysis import section7_witness
+from metacyclic.analysis import formula_NE, formula_NG, section7_witness
 from metacyclic.cli import main
 from metacyclic.group import InvariantError, MetacyclicGroup, Subgroup
 from metacyclic.invariants import mcinv
@@ -147,6 +147,21 @@ def test_dimension_identity_small_range() -> None:
         assert sum(c.q_dimension for c in decomposition(G)) == G.order
 
 
+def test_center_degrees_count_conjugacy_classes() -> None:
+    """Each simple component with center F holds [F:Q] complex irreducible
+    characters, so the center degrees add up to the class number, for
+    every class up to order 256."""
+    from metacyclic.invariants import construct_group, valid_tuples
+
+    checked = 0
+    for inv in valid_tuples(256):
+        G = construct_group(inv)
+        assert sum(c.center.degree for c in decomposition(G)) == \
+            len(G.conjugacy_classes()), G
+        checked += 1
+    assert checked == 1365
+
+
 def test_perlis_walker_multiplicities() -> None:
     assert perlis_walker((2,)) == ((1, 1), (2, 1))
     assert perlis_walker((6,)) == ((1, 1), (2, 1), (3, 1), (6, 1))
@@ -240,3 +255,28 @@ def test_pair_and_component_checks_raise_invariant_error(monkeypatch) -> None:
     monkeypatch.setattr(group, "part", lambda k, primes: 0)
     with pytest.raises(InvariantError, match="Hall"):
         G.hall_subgroup((2,))
+
+
+def test_answer_path_builds_no_element_sets(monkeypatch) -> None:
+    """Membership and iteration read the triple; only idempotent_check
+    and the tests build element sets."""
+    # Orders 48 to 480: a non-canonical presentation of order 384, one of
+    # the four classes up to 512 where formula_NG takes its L_2 branch
+    # (odd p, even order), and applicable section7 witnesses.
+    big, odd, s7 = (MetacyclicGroup(48, 8, 0, 5), MetacyclicGroup(21, 18, 0, 4),
+                    MetacyclicGroup(240, 2, 30, 89))
+    G = MetacyclicGroup(24, 2, 6, 5)
+
+    def answers():
+        return ([mcinv.__wrapped__(H) for H in (G, big, s7)],
+                [decomposition.__wrapped__(H) for H in (G, big, odd)],
+                formula_NE(G), formula_NE(s7), formula_NG(odd, 3),
+                section7_witness(G, 2), section7_witness(s7, 2))
+
+    want = answers()
+
+    def no_sets(S):
+        raise AssertionError(f"element set of {S!r} built")
+
+    monkeypatch.setattr(Subgroup, "elems", property(no_sets))
+    assert answers() == want
