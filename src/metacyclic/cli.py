@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -330,7 +331,8 @@ def consistent_presentations(max_order: int) -> list[MetacyclicGroup]:
 
 def check_iso_oracle(max_order: int) -> tuple[int, list[dict]]:
     """Brute-force isomorphism against tuple equality, pairwise over
-    presentations of equal order."""
+    presentations of equal order.  The element orders of each presentation
+    are tabulated once per order batch and dropped with it."""
     by_order: dict[int, list[MetacyclicGroup]] = {}
     for G in consistent_presentations(min(max_order, ISO_ORACLE_CAP)):
         by_order.setdefault(G.order, []).append(G)
@@ -338,15 +340,23 @@ def check_iso_oracle(max_order: int) -> tuple[int, list[dict]]:
     out = []
     for order in sorted(by_order):
         batch = by_order[order]
+        tables = {G: G.order_table() for G in batch}
         for i, G in enumerate(batch):
             for H in batch[i + 1:]:
                 checked += 1
                 want = mcinv(G)[0] == mcinv(H)[0]
-                got = G.brute_force_isomorphic(H)
+                got = G.brute_force_isomorphic(H, tables)
                 if got != want:
                     label = f"{G.key} vs {H.key}"
                     out.append(_finding("iso-oracle", "fail", got, want, label))
     return checked, out
+
+
+def _cpus_available() -> int:
+    """CPUs this process may run on, at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 def run_checks(names: tuple[str, ...], max_order: int,
@@ -359,9 +369,10 @@ def run_checks(names: tuple[str, ...], max_order: int,
     if group_names:
         items = [((inv.m, inv.n, inv.s, inv.m_prime, inv.delta_gen), group_names)
                  for inv in valid_tuples(max_order)]
-        if jobs > 1 and len(items) > 1:
-            chunk = max(1, len(items) // (jobs * 8))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, _cpus_available(), len(items))
+        if workers > 1:
+            chunk = max(1, len(items) // (workers * 8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_group_work, items, chunksize=chunk))
         else:
             results = [_group_work(item) for item in items]
@@ -410,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="table")
         if sweep:
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers; output bytes do not depend on it")
+                           help="parallel workers, at most the CPUs available; "
+                                "output bytes do not depend on it")
             p.add_argument("--max-order", type=int, default=64,
                            help=f"largest group order, at most {MAX_ORDER_LIMIT}")
 

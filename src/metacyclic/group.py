@@ -283,21 +283,34 @@ class MetacyclicGroup:
         d2 = g * self.n // d1
         return tuple(d for d in (d1, d2) if d > 1)
 
-    def order_profile(self) -> tuple[tuple[int, int], ...]:
-        counts = Counter(self.element_order(x) for x in self.elements)
-        return tuple(sorted(counts.items()))
+    def order_table(self) -> dict[El, int]:
+        """Element -> order, in the order of `elements`."""
+        return {x: self.element_order(x) for x in self.elements}
 
-    def brute_force_isomorphic(self, other: "MetacyclicGroup") -> bool:
+    def order_profile(self, table: dict[El, int] | None = None) -> tuple[tuple[int, int], ...]:
+        """Sorted (order, number of elements of that order) pairs, read from
+        `table` (this group's `order_table()`) when given."""
+        if table is None:
+            table = self.order_table()
+        return tuple(sorted(Counter(table.values()).items()))
+
+    def brute_force_isomorphic(self, other: "MetacyclicGroup",
+                               tables: dict | None = None) -> bool:
         """Search for images of (a, b) in `other` satisfying the defining
-        relations and generating it.  Ground truth for isomorphism tests."""
+        relations and generating it.  Ground truth for isomorphism tests.
+
+        `tables` maps groups to their `order_table()`; a caller comparing
+        many pairs passes it so that each table is built once."""
         if self.order != other.order:
             return False
-        if self.order_profile() != other.order_profile():
+        own = tables[self] if tables else self.order_table()
+        theirs = tables[other] if tables else other.order_table()
+        if self.order_profile(own) != other.order_profile(theirs):
             return False
         ord_a = self.m
-        ord_b = self.element_order(self.gen_b)
-        alphas = [x for x in other.elements if other.element_order(x) == ord_a]
-        betas = [x for x in other.elements if other.element_order(x) == ord_b]
+        ord_b = own[self.gen_b]
+        alphas = [x for x, k in theirs.items() if k == ord_a]
+        betas = [x for x, k in theirs.items() if k == ord_b]
         for alpha in alphas:
             at = other.power(alpha, self.t)
             as_ = other.power(alpha, self.s)

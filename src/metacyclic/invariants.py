@@ -355,18 +355,38 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
 
 @lru_cache(maxsize=None)
 def valid_tuples(max_order: int) -> tuple[MCInv, ...]:
-    """All classifying tuples with m n <= max_order, canonically sorted."""
+    """All classifying tuples with m n <= max_order, canonically sorted.
+
+    The candidates are generated rather than filtered: for each m, each
+    m' | m and each cyclic delta mod m' with |delta| <= max_order / m,
+    the s | m that clause (a) of `validate_tuple` rejects without looking
+    at n (m, s and m' disagreeing outside the primes of r) are dropped,
+    and n runs over the multiples of |delta| up to max_order / m, so
+    |delta| divides n.  Every candidate kept still goes through
+    `validate_tuple`.  Ties of `MCInv.sort_key` are ordered by m'.
+    """
+    subgroups: dict[int, tuple[UnitSubgroup, ...]] = {}
     out = []
-    for order in range(1, max_order + 1):
-        for m in divisors(order):
-            n = order // m
-            for mp in divisors(m):
-                for delta in cyclic_subgroups(mp):
-                    for s in divisors(m):
-                        ok, _ = validate_tuple(m, n, s, delta)
-                        if ok:
+    for m in range(1, max_order + 1):
+        n_max = max_order // m
+        m_primes = primes_of(m)
+        for mp in divisors(m):
+            if mp not in subgroups:
+                subgroups[mp] = cyclic_subgroups(mp, max_order // mp)
+            for delta in subgroups[mp]:
+                if delta.order > n_max:
+                    continue
+                pi_prime = m_primes - primes_of(derive_rek(m, delta)[0])
+                m_out = part(m, pi_prime)
+                if part(mp, pi_prime) != m_out:
+                    continue
+                for s in divisors(m):
+                    if part(s, pi_prime) != m_out:
+                        continue
+                    for n in range(delta.order, n_max + 1, delta.order):
+                        if validate_tuple(m, n, s, delta)[0]:
                             out.append(MCInv(m, n, s, delta))
-    return tuple(sorted(out, key=MCInv.sort_key))
+    return tuple(sorted(out, key=lambda inv: (inv.sort_key(), inv.m_prime)))
 
 
 # -- local structure ---------------------------------------------------------

@@ -246,10 +246,38 @@ def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
     return _canonical(q, tuple(sorted({x % q for x in sub.elements})))
 
 
-@lru_cache(maxsize=None)
-def cyclic_subgroups(modulus: int) -> tuple[UnitSubgroup, ...]:
-    """All cyclic subgroups of the units mod `modulus`, sorted."""
-    return tuple(sorted({cyclic_subgroup(t, modulus) for t in units(modulus)}))
+def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSubgroup, ...]:
+    """The cyclic subgroups of the units mod `modulus` of order at most
+    `max_order` (all of them when it is None), sorted.
+
+    Each subgroup is walked once, from its least generator t: the walk
+    lists the powers of t, and every power t^j with gcd(j, |t|) = 1 is
+    skipped afterwards.  A unit whose order exceeds the bound is passed
+    over by a few powers: its order divides phi(modulus), so it is at
+    most `max_order` iff t^d = 1 for a divisor d <= max_order of phi that
+    no other such divisor is a multiple of.
+    """
+    bound = phi(modulus) if max_order is None else max_order
+    if modulus == 1:
+        return (_canonical(1, (0,)),) if bound >= 1 else ()
+    small = [d for d in divisors(phi(modulus)) if d <= bound]
+    tests = [d for d in small if not any(e != d and e % d == 0 for e in small)]
+    found = []
+    known: set[int] = set()
+    for t in range(1, modulus):
+        if t in known or math.gcd(t, modulus) != 1:
+            continue
+        if all(pow(t, d, modulus) != 1 for d in tests):
+            continue
+        powers = [1]
+        y = t
+        while y != 1:
+            powers.append(y)
+            y = y * t % modulus
+        k = len(powers)
+        known.update(powers[j] for j in range(1, k) if math.gcd(j, k) == 1)
+        found.append(UnitSubgroup(modulus, tuple(sorted(powers)), t))
+    return tuple(sorted(found))
 
 
 def crt_exponent(order: int, primes) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,30 @@ def test_verify_output_independent_of_jobs(capsys) -> None:
     code, multi, _ = run_cli(capsys, *args, "--jobs", "4")
     assert code == 0
     assert solo == multi
+
+
+def test_jobs_are_capped_at_the_available_cpus(monkeypatch) -> None:
+    """A huge --jobs starts no more workers than the process can run on;
+    the recorder stands in for the pool, so no process is started."""
+    recorded = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    findings, summaries = cli.run_checks(("roundtrip",), 16, jobs=10**6)
+    assert all(w <= os.cpu_count() for w in recorded)
+    assert findings == [] and summaries[0]["lhs"] == len(invariants.valid_tuples(16))
 
 
 def test_verify_rejects_unknown_check(capsys) -> None:

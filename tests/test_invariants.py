@@ -20,7 +20,7 @@ from metacyclic.invariants import (
     valid_tuples,
     validate_tuple,
 )
-from metacyclic.numth import cyclic_subgroup, trivial_subgroup
+from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, divisors, trivial_subgroup
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -133,6 +133,25 @@ def test_valid_tuples_counts_and_sorting() -> None:
     assert keys == sorted(keys)
     # nested bounds nest as prefixes of the same ordering
     assert set(valid_tuples(16)) <= set(tuples_32)
+
+
+def _filtered_tuples(max_order: int) -> list[MCInv]:
+    """Every combination (order, m | order, m' | m, cyclic delta mod m',
+    s | m) through `validate_tuple`: the oracle for the generator."""
+    out = []
+    for order in range(1, max_order + 1):
+        for m in divisors(order):
+            for mp in divisors(m):
+                for delta in cyclic_subgroups(mp):
+                    for s in divisors(m):
+                        if validate_tuple(m, order // m, s, delta)[0]:
+                            out.append(MCInv(m, order // m, s, delta))
+    return sorted(out, key=MCInv.sort_key)
+
+
+def test_valid_tuples_equal_the_filtered_combinations() -> None:
+    """Same tuples in the same order, ties of the sort key included."""
+    assert list(valid_tuples(512)) == _filtered_tuples(512)
 
 
 def test_construct_group_is_deterministic() -> None:

@@ -122,10 +122,14 @@ def test_trivial_subgroup_and_modulus_one() -> None:
 
 
 def test_cyclic_subgroups_are_exactly_the_cyclic_ones() -> None:
-    for modulus in (5, 8, 12, 15, 16):
-        got = set(cyclic_subgroups(modulus))
-        want = {cyclic_subgroup(t, modulus) for t in units(modulus)}
-        assert got == want
+    """Against the orbit of every unit, for the full listing and for every
+    bound on the order; equality includes the least generator."""
+    for modulus in range(1, 257):
+        want = sorted({cyclic_subgroup(t, modulus) for t in units(modulus)})
+        assert list(cyclic_subgroups(modulus)) == want
+        for bound in range(phi(modulus) + 2):
+            got = cyclic_subgroups(modulus, bound)
+            assert list(got) == [S for S in want if S.order <= bound], (modulus, bound)
 
 
 def test_crt_exponent_hits_prescribed_parts() -> None:

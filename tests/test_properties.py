@@ -1,0 +1,43 @@
+"""Property tests beyond the exhaustive bounds: consistent presentations
+up to order 4096, drawn by a derandomized Hypothesis profile."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from metacyclic.cli import MAX_ORDER_LIMIT
+from metacyclic.group import MetacyclicGroup
+from metacyclic.invariants import construct_group, mcinv, valid_tuples, validate_tuple
+from metacyclic.numth import divisors, units
+
+PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def presentations(draw) -> MetacyclicGroup:
+    """G(m, n, s, t) with m n <= 4096, t^n = 1 mod m and s(t - 1) = 0 mod m."""
+    order = draw(st.integers(1, MAX_ORDER_LIMIT))
+    m = draw(st.sampled_from(divisors(order)))
+    n = order // m
+    twists = [t for t in units(m) if pow(t, n, m) == 1 % m and t > 1]
+    # Abelian and non-abelian presentations about equally often.
+    t = draw(st.sampled_from(twists)) if twists and draw(st.booleans()) else 1 % m
+    step = m // math.gcd(t - 1, m)
+    s = step * draw(st.integers(0, m // step - 1))
+    return MetacyclicGroup(m, n, s, t)
+
+
+@PROFILE
+@given(presentations())
+def test_mcinv_is_valid_and_a_fixed_point_of_construction(G) -> None:
+    inv = mcinv(G)[0]
+    assert validate_tuple(inv.m, inv.n, inv.s, inv.delta) == (True, ())
+    assert mcinv(construct_group(inv))[0] == inv
+    if G.order <= 512:
+        assert inv in valid_tuples(512)
