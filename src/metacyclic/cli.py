@@ -417,18 +417,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rational group algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sweep=False):
+    def common(p, jobs_help=None):
         p.add_argument("--format", choices=FORMATS, default="table")
-        if sweep:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers, at most the CPUs available; "
-                                "output bytes do not depend on it")
+        if jobs_help:
+            p.add_argument("--jobs", type=int, default=1, help=jobs_help)
             p.add_argument("--max-order", type=int, default=64,
                            help=f"largest group order, at most {MAX_ORDER_LIMIT}")
 
     p = sub.add_parser("enumerate",
                        help="one representative per isomorphism class")
-    common(p, sweep=True)
+    common(p, jobs_help="accepted for symmetry with verify; enumerate "
+                        "always runs in one process")
 
     p = sub.add_parser("mcinv", help="classifying tuple of a presentation")
     p.add_argument("m", type=int)
@@ -463,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property-check suite")
     p.add_argument("--checks", default=",".join(CHECK_NAMES),
                    help="comma list from " + ",".join(CHECK_NAMES))
-    common(p, sweep=True)
+    common(p, jobs_help="parallel workers, at most the CPUs available; "
+                        "output bytes do not depend on it")
     return parser
 
 

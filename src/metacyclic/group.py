@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
-from .numth import (InvariantError, crt_exponent, divisors, geom_sum_mod,
-                    orbit, part, primes_of)
+from .numth import (InvariantError, crt_exponent, divisors, orbit, part,
+                    prime_factors, primes_of)
 
 El = tuple[int, int]
 
@@ -40,6 +41,15 @@ class MetacyclicGroup:
         self.s = s
         self.t = t
         self._tpow = tuple(pow(t, j, m) for j in range(n))
+        # With o the order of t mod m, _geom[j] for j < o lists the prefix
+        # sums 1 + x + ... + x^(l-1) mod m of x = t^j for l = 0 .. p, where
+        # p = o / gcd(j, o) is the order of x; t^(j + o) = t^j.  The table
+        # holds at most o(o + 1) integers, and o^2 <= n lambda(m) <= |G|.
+        o = next((j for j in range(1, n) if self._tpow[j] == 1 % m), n)
+        self._geom = tuple(
+            tuple(v % m for v in accumulate(
+                [self._tpow[j * l % o] for l in range(o // math.gcd(j, o))], initial=0))
+            for j in range(o))
 
     @property
     def key(self) -> tuple[int, int, int, int]:
@@ -93,10 +103,14 @@ class MetacyclicGroup:
         return (-(i + self.s) * self._tpow[self.n - j] % self.m, self.n - j)
 
     def power(self, x: El, k: int) -> El:
-        if k < 0:
-            return self.power(self.inv(x), -k)
+        """x^k = a^(i S(k)) b^(jk) for x = a^i b^j and any integer k, with
+        S(k + 1) = S(k) + t^(jk) and S(0) = 0; b^(jk) = a^(s floor(jk/n))
+        b^(jk mod n) as b^n = a^s is central.  S(k) is read from one period
+        p of its prefix sums: S(k) = (k // p) S(p) + S(k mod p)."""
         i, j = x
-        exp = i * geom_sum_mod(self._tpow[j], k, self.m) + self.s * (j * k // self.n)
+        sums = self._geom[j % len(self._geom)]
+        p = len(sums) - 1
+        exp = i * (k // p * sums[p] + sums[k % p]) + self.s * (j * k // self.n)
         return (exp % self.m, j * k % self.n)
 
     def conj(self, g: El, h: El) -> El:
@@ -133,6 +147,12 @@ class MetacyclicGroup:
             if self.power(x, d) in K:
                 return d
         raise InvariantError(f"x^|x| = 1 does not lie in {K!r}")
+
+    def generates_quotient(self, x: El, K: "Subgroup", idx: int) -> bool:
+        """Whether xK has order idx, for x in a group H of index idx over
+        its normal subgroup K: x^idx lies in K, so xK has order idx iff
+        x^(idx/q) does not for each prime q | idx."""
+        return all(self.power(x, idx // q) not in K for q, _ in prime_factors(idx))
 
     # -- subgroups --------------------------------------------------------
 
@@ -385,6 +405,8 @@ class Subgroup:
         and x^l = a^i b^(lf), so row i mod c lists those l f, l < n/f."""
         G = self.group
         c, _, f = self.triple
+        if c == 1:
+            return ((i, j) for i in range(G.m) for j in range(0, G.n, f))
         rows: list[list[int]] = [[] for _ in range(c)]
         y = G.identity
         for j in range(0, G.n, f):

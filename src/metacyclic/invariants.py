@@ -201,7 +201,7 @@ def _minimal_pairs(G: MetacyclicGroup):
         n = order // oa
         for B in cyclics:
             # A is normal, so G = AB iff B maps onto the cyclic G/A.
-            if B.order % n or G.coset_order(B.generator, A) != n:
+            if B.order % n or not G.generates_quotient(B.generator, A, n):
                 continue
             key = (oa, ra, order // B.order)
             if best_key is None or key < best_key:
@@ -238,12 +238,13 @@ def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     """Classifying tuple of G together with the derived quantities.
 
     All minimizing factorizations must produce the same delta; checked
-    rather than trusted.
+    rather than trusted.  delta depends on A alone, so the action is
+    computed once per distinct factor A.
     """
     (m, _, s), pairs = _minimal_pairs(G)
     n = G.order // m
     seen = set()
-    for A, _B in pairs:
+    for A in dict.fromkeys(A for A, _ in pairs):
         T = t_subgroup(G, A)
         r, eps, k = derive_rek(m, T)
         mp = m_prime_of(m, n, s, r, eps, k)

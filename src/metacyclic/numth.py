@@ -109,19 +109,6 @@ def geom_sum(x: int, n: int) -> int:
     return (x**n - 1) // (x - 1)
 
 
-def geom_sum_mod(x: int, n: int, mod: int) -> int:
-    """geom_sum(x, n) reduced mod `mod`, without big intermediates."""
-    if mod == 1:
-        return 0
-    if n == 0:
-        return 0
-    half = geom_sum_mod(x, n // 2, mod)
-    total = half * (1 + pow(x, n // 2, mod)) % mod
-    if n % 2:
-        total = (total + pow(x, n - 1, mod)) % mod
-    return total
-
-
 @lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """Residues of the unit group mod n; (0,) for the degenerate modulus 1."""

@@ -273,7 +273,7 @@ def _coset_generator(G: MetacyclicGroup, H: Subgroup, K: Subgroup) -> El:
     """Smallest element of H generating the cyclic quotient H/K."""
     idx = H.order // K.order
     for x in H:
-        if G.coset_order(x, K) == idx:
+        if G.generates_quotient(x, K, idx):
             return x
     raise ValueError("quotient is not cyclic")
 

@@ -231,6 +231,18 @@ def test_jobs_only_on_sweeping_commands(capsys) -> None:
     capsys.readouterr()
 
 
+def test_jobs_help_says_what_each_sweep_does(capsys) -> None:
+    """enumerate accepts --jobs and runs in one process; verify uses it."""
+    helps = {}
+    for command in ("enumerate", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "one process" in helps["enumerate"]
+    assert "parallel workers" not in helps["enumerate"]
+    assert "parallel workers" in helps["verify"]
+
+
 def test_max_order_cap_is_enforced(capsys) -> None:
     code, _, err = run_cli(capsys, "enumerate", "--max-order", "9999")
     assert code == 1

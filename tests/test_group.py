@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import reduce
 
 import pytest
 
+from metacyclic.cli import consistent_presentations
 from metacyclic.group import (
     MetacyclicGroup,
     Subgroup,
@@ -53,13 +53,17 @@ def test_group_axioms_on_samples() -> None:
 
 
 def test_power_matches_iterated_multiplication() -> None:
-    G = MetacyclicGroup(12, 4, 6, 5)
-    for x in G.elements[:12]:
-        for k in range(10):
-            by_mul = reduce(G.mul, [x] * k, G.identity)
-            assert G.power(x, k) == by_mul
-        assert G.power(x, -1) == G.inv(x)
-        assert G.power(x, -3) == G.inv(G.power(x, 3))
+    """x^k for -2|x| <= k <= 2|x|, every element of every presentation up
+    to order 64, against the products x x ... x over one period."""
+    for G in consistent_presentations(64):
+        for x in G.elements:
+            by_mul, y = [G.identity], x
+            while y != G.identity:
+                by_mul.append(y)
+                y = G.mul(y, x)
+            period = len(by_mul)
+            assert [G.power(x, k) for k in range(-2 * period, 2 * period + 1)] \
+                == by_mul * 4 + by_mul[:1], (G, x)
 
 
 def test_element_order_divides_group_order() -> None:

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from metacyclic.group import MetacyclicGroup
+from metacyclic import invariants
+from metacyclic.group import InvariantError, MetacyclicGroup
 from metacyclic.invariants import (
     MCInv,
     construct_group,
@@ -79,6 +80,45 @@ def test_minimal_factorization_shapes() -> None:
     A, B = minimal_factorization(MetacyclicGroup(8, 2, 0, 5))
     assert A.order == 4 and A.is_normal
     assert {G_el for G_el in A} | {G_el for G_el in B}  # nonempty factors
+
+
+def test_factorization_test_matches_the_coset_order_scan() -> None:
+    """For a normal cyclic A of index n, G = AB iff the generator of B has
+    coset order n mod A.  `_minimal_pairs` asks instead that no x^(n/q)
+    lies in A for a prime q | n; the two agree on every pair (A, B) it
+    tests, for every class up to order 128."""
+    checked = 0
+    for inv in valid_tuples(128):
+        G = construct_group(inv)
+        cyclics = G.cyclic_subgroups()
+        for A in cyclics:
+            if not A.is_normal:
+                continue
+            n = G.order // A.order
+            for B in cyclics:
+                if B.order % n == 0:
+                    x = B.generator
+                    assert G.generates_quotient(x, A, n) == \
+                        (G.coset_order(x, A) == n), (G, A, B)
+                    checked += 1
+    assert checked == 24839
+
+
+def test_mcinv_raises_when_minimal_factors_disagree(monkeypatch) -> None:
+    """delta is computed once per distinct minimizing factor A (C3 x C3
+    has four, each in three minimizing pairs), and a second A whose
+    delta differs still raises."""
+    G = MetacyclicGroup(3, 3, 0, 1)
+    calls = []
+
+    def modulus(*args):
+        calls.append(args)
+        return m_prime_of(*args) if len(calls) == 1 else 1
+
+    monkeypatch.setattr(invariants, "m_prime_of", modulus)
+    with pytest.raises(InvariantError, match="disagree"):
+        mcinv.__wrapped__(G)
+    assert len(calls) == 4
 
 
 def test_pi_sets() -> None:

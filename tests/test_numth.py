@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from metacyclic.cli import consistent_presentations
 from metacyclic.numth import (
     crt_exponent,
     cyclic_subgroup,
@@ -11,7 +12,6 @@ from metacyclic.numth import (
     divisors,
     from_generators,
     geom_sum,
-    geom_sum_mod,
     lcm,
     mult_order,
     orbit,
@@ -67,6 +67,20 @@ def test_phi_and_mult_order_against_brute_force() -> None:
             assert mult_order(x, n) == k
 
 
+def geom_sum_mod(x: int, n: int, mod: int) -> int:
+    """geom_sum(x, n) reduced mod `mod` by halving n, with no table: the
+    oracle for the prefix-sum table of `MetacyclicGroup.power`."""
+    if mod == 1:
+        return 0
+    if n == 0:
+        return 0
+    half = geom_sum_mod(x, n // 2, mod)
+    total = half * (1 + pow(x, n // 2, mod)) % mod
+    if n % 2:
+        total = (total + pow(x, n - 1, mod)) % mod
+    return total
+
+
 def test_geom_sum_mod_matches_direct_sum() -> None:
     for x in (1, 2, 3, 7, 10):
         for n in range(0, 25):
@@ -74,6 +88,19 @@ def test_geom_sum_mod_matches_direct_sum() -> None:
             assert geom_sum(x, n) == direct
             for mod in (1, 2, 5, 12, 97):
                 assert geom_sum_mod(x, n, mod) == direct % mod
+
+
+def test_power_matches_the_recursive_geometric_sum() -> None:
+    """(a^i b^j)^k = a^(i (1 + t^j + ... + t^(j(k-1))) + s floor(jk/n)) b^(jk):
+    the prefix-sum table of `MetacyclicGroup.power` against the recursion,
+    for 0 <= k <= 2 |G| on every presentation with m n <= 32."""
+    for G in consistent_presentations(32):
+        m, n, s, t = G.key
+        for i, j in G.elements:
+            x = pow(t, j, m)
+            assert [G.power((i, j), k) for k in range(2 * G.order + 1)] == [
+                ((i * geom_sum_mod(x, k, m) + s * (j * k // n)) % m, j * k % n)
+                for k in range(2 * G.order + 1)]
 
 
 def test_units_degenerate_modulus() -> None:

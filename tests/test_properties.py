@@ -41,3 +41,16 @@ def test_mcinv_is_valid_and_a_fixed_point_of_construction(G) -> None:
     assert mcinv(construct_group(inv))[0] == inv
     if G.order <= 512:
         assert inv in valid_tuples(512)
+
+
+@PROFILE
+@given(presentations(), st.data())
+def test_power_matches_repeated_multiplication(G, data) -> None:
+    x = (data.draw(st.integers(0, G.m - 1)), data.draw(st.integers(0, G.n - 1)))
+    by_mul, y = [G.identity], x
+    while y != G.identity:
+        by_mul.append(y)
+        y = G.mul(y, x)
+    period = len(by_mul)
+    assert [G.power(x, k) for k in range(-2 * period, 2 * period + 1)] \
+        == by_mul * 4 + by_mul[:1]

@@ -106,6 +106,28 @@ def test_idempotent_check_on_every_strong_shoda_pair() -> None:
     assert checked == 512
 
 
+def test_coset_generators_match_the_coset_order_scan() -> None:
+    """`_coset_generator` tests x^(idx/q) against K for the primes q | idx.
+    The first x whose coset order is the whole index, found by the divisor
+    scan of `coset_order`, is the same element on every (L, K) and
+    (N_G(K), L) of every class up to order 128."""
+    from metacyclic.invariants import construct_group, valid_tuples
+
+    def by_coset_order(G, H, K):
+        idx = H.order // K.order
+        return next(x for x in H if G.coset_order(x, K) == idx)
+
+    checked = 0
+    for inv in valid_tuples(128):
+        G = construct_group(inv)
+        for L, K in strong_shoda_pairs(G):
+            for H, N in ((L, K), (G.normalizer(K), L)):
+                assert wedderburn._coset_generator(G, H, N) == \
+                    by_coset_order(G, H, N), (G, H, N)
+                checked += 1
+    assert checked == 2 * 5351
+
+
 def test_decomposition_s3() -> None:
     comps = decomposition(S3)
     dims = sorted(c.q_dimension for c in comps)
