@@ -29,7 +29,13 @@ from .group import (
     cocyclic_subgroups_of_product,
     cocyclic_triples,
 )
-from .invariants import construct_group, mcinv, pi_sets, sylow_presentation
+from .invariants import (
+    check_entry,
+    construct_group,
+    mcinv,
+    pi_sets,
+    sylow_presentation,
+)
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
@@ -427,18 +433,18 @@ def _mn_displayed(p: int, uvt: UVT, l: int, mu: int, nu: int, rho: int,
     return M, N
 
 
-def formula_NG(G: MetacyclicGroup, p: int, table: str = "direct") -> int:
-    """Predicted count of degree-l components with the allowed torsion.
+def formula_NG(G: MetacyclicGroup, p: int) -> tuple[int, int | None]:
+    """Predicted count of degree-l components with the allowed torsion,
+    as (direct, displayed).
 
     Evaluates O * sum over d | l of |K_d1| M(d) + |K_d2| N(d).  The K
-    sets come from brute-force enumeration of the cocyclic subgroups of
-    L_pi' and their normalizers; M and N come either from the raw
-    parametrized sums (table="direct") or from the printed closed forms
-    (table="displayed").  The direct table is the default because the
-    printed one carries transcription defects in two branches.
+    sets come from one brute-force enumeration of the cocyclic subgroups
+    of L_pi' and their normalizers; M and N come once from the raw
+    parametrized sums (direct) and once from the printed closed forms
+    (displayed).  The direct count is authoritative because the printed
+    table carries transcription defects in two branches; displayed is
+    None when the printed table does not even give an integer.
     """
-    if table not in ("direct", "displayed"):
-        raise ValueError(f"unknown table {table!r}")
     if not regime_U(G, p):
         raise ValueError("group is outside the counting regime at this prime")
     GC = canonical_form(G)
@@ -474,23 +480,19 @@ def formula_NG(G: MetacyclicGroup, p: int, table: str = "direct") -> int:
         O = 1
 
     ds = sorted(set(k1) | set(k2))
-    if table == "direct":
-        M, N_ = _mn_direct(GC, p, uvt, l, ds)
-    else:
-        M, N_ = _mn_displayed(p, uvt, l, mu, nu, rho, k_p, ds)
-    total = O * sum((k1.get(d, 0) * M[d] + k2.get(d, 0) * N_[d] for d in ds),
-                    Fraction(0))
-    if total.denominator != 1:
-        raise ValueError(f"formula evaluates to non-integer {total}")
-    return int(total)
+
+    def total(M: dict, N: dict) -> Fraction:
+        return O * sum((k1.get(d, 0) * M[d] + k2.get(d, 0) * N[d] for d in ds),
+                       Fraction(0))
+
+    direct = total(*_mn_direct(GC, p, uvt, l, ds))
+    if direct.denominator != 1:
+        raise ValueError(f"formula evaluates to non-integer {direct}")
+    displayed = total(*_mn_displayed(p, uvt, l, mu, nu, rho, k_p, ds))
+    return int(direct), int(displayed) if displayed.denominator == 1 else None
 
 
 # -- section7 witness pairs --------------------------------------------------
-
-
-def _entry(check: str, ok: bool, lhs, rhs) -> dict:
-    return {"check": check, "status": "pass" if ok else "fail",
-            "lhs": lhs, "rhs": rhs}
 
 
 def _witness_component(GC: MetacyclicGroup, case: str, L: Subgroup,
@@ -501,23 +503,23 @@ def _witness_component(GC: MetacyclicGroup, case: str, L: Subgroup,
     try:
         comp = component_of(GC, L, K0)
     except (ValueError, InvariantError) as exc:
-        return [_entry(f"{case}: (L, K0) is a strong Shoda pair", False,
-                       str(exc), "strong Shoda pair")]
-    out = [_entry(f"{case}: (L, K0) is a strong Shoda pair", True,
-                  "constructed", "strong Shoda pair")]
+        return [check_entry(f"{case}: (L, K0) is a strong Shoda pair", False,
+                            str(exc), "strong Shoda pair")]
+    out = [check_entry(f"{case}: (L, K0) is a strong Shoda pair", True,
+                       "constructed", "strong Shoda pair")]
     F = comp.center
-    out.append(_entry(f"{case}: center embeds in Q(zeta_{ambient})",
-                      is_subfield(F, cyclotomic_field(ambient)),
-                      repr(F), f"subfield of Q(zeta_{ambient})"))
-    out.append(_entry(f"{case}: component degree", comp.total_degree == degree,
-                      comp.total_degree, degree))
+    out.append(check_entry(f"{case}: center embeds in Q(zeta_{ambient})",
+                           is_subfield(F, cyclotomic_field(ambient)),
+                           repr(F), f"subfield of Q(zeta_{ambient})"))
+    out.append(check_entry(f"{case}: component degree", comp.total_degree == degree,
+                           comp.total_degree, degree))
     codeg = phi(ambient) // F.degree
-    out.append(_entry(f"{case}: index of center in ambient field",
-                      codeg == degree, codeg, degree))
+    out.append(check_entry(f"{case}: index of center in ambient field",
+                           codeg == degree, codeg, degree))
     for label, c, expected in inters:
         got = intersect_cyclotomic(F, c)
-        out.append(_entry(f"{case}: center cap {label}", got == expected,
-                          repr(got), repr(expected)))
+        out.append(check_entry(f"{case}: center cap {label}", got == expected,
+                               repr(got), repr(expected)))
     return out
 
 
@@ -534,11 +536,11 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
     inv, der = mcinv(GC)
     mp_p, r_p = p_part(der.m_prime, p), p_part(der.r, p)
     if p not in der.pi or mp_p <= r_p:
-        return [_entry(f"section7 p={p}", True, "not applicable",
-                       "m'_p <= r_p") | {"status": "n/a"}]
-    out = [_entry("standing: r_p > 1", r_p > 1, r_p, "> 1"),
-           _entry("standing: s_p > 1", p_part(inv.s, p) > 1,
-                  p_part(inv.s, p), "> 1")]
+        return [check_entry(f"section7 p={p}", True, "not applicable",
+                            "m'_p <= r_p") | {"status": "n/a"}]
+    out = [check_entry("standing: r_p > 1", r_p > 1, r_p, "> 1"),
+           check_entry("standing: s_p > 1", p_part(inv.s, p) > 1,
+                       p_part(inv.s, p), "> 1")]
     m_pp = part(inv.m, der.pi_prime)
     F0 = _base_field(GC)
     k = der.k
@@ -558,11 +560,11 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
             K0 = GC.generated([a_rest, GC.power(b_odd, c)])
         expected_mp = (m_p // 2 if k_p < n_p and 2 * s_p == m_p < n_p * r_p
                        else m_p)
-        out.append(_entry("case 3: m'_2 branch formula", mp_p == expected_mp,
-                          mp_p, expected_mp))
-        out.append(_entry("case 3: 4 <= k_2 and 4 r_2 <= m_2",
-                          k_p >= 4 and 4 * r_p <= m_p,
-                          {"k_2": k_p, "r_2": r_p, "m_2": m_p}, "4 <= k_2, 4 r_2 <= m_2"))
+        out.append(check_entry("case 3: m'_2 branch formula", mp_p == expected_mp,
+                               mp_p, expected_mp))
+        out.append(check_entry("case 3: 4 <= k_2 and 4 r_2 <= m_2",
+                               k_p >= 4 and 4 * r_p <= m_p,
+                               {"k_2": k_p, "r_2": r_p, "m_2": m_p}, "4 <= k_2, 4 r_2 <= m_2"))
         sigma_fixed = fixed_field(mp_p, cyclic_subgroup((r_p - 1) % mp_p, mp_p))
         out += _witness_component(
             GC, "case 3", L, K0, m_pp * mp_p, c,
@@ -570,15 +572,15 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
              (f"Q(zeta_{mp_p})", mp_p, sigma_fixed)])
     elif s_p >= mp_p:
         c = lcm(k, s_p // r_p)
-        out.append(_entry(
+        out.append(check_entry(
             "case 1: m'_p formula",
             mp_p == min(m_p, k_p * r_p,
                         max(r_p, s_p, r_p * k_p * s_p // n_p)),
             mp_p, "min(m_p, k_p r_p, max(r_p, s_p, r_p k_p s_p / n_p))"))
-        out.append(_entry("case 1: r_p <= s_p", r_p <= s_p, r_p, s_p))
-        out.append(_entry("case 1: k_p r_p <= n_p or s_p = m_p",
-                          k_p * r_p <= n_p or s_p == m_p,
-                          {"k_p r_p": k_p * r_p, "n_p": n_p, "s_p": s_p}, "m_p"))
+        out.append(check_entry("case 1: r_p <= s_p", r_p <= s_p, r_p, s_p))
+        out.append(check_entry("case 1: k_p r_p <= n_p or s_p = m_p",
+                               k_p * r_p <= n_p or s_p == m_p,
+                               {"k_p r_p": k_p * r_p, "n_p": n_p, "s_p": s_p}, "m_p"))
         L = GC.l_subgroup(c)
         K0 = GC.generated([a_rest, GC.power(GC.gen_b, c)])
         out += _witness_component(
@@ -586,12 +588,12 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
             [(f"Q(zeta_{m_pp})", m_pp, F0),
              (f"Q(zeta_{s_p})", s_p, cyclotomic_field(r_p))])
     else:
-        out.append(_entry("case 2: s_p < m_p and n_p < k_p r_p",
-                          s_p < m_p and n_p < k_p * r_p,
-                          {"s_p": s_p, "m_p": m_p, "n_p": n_p}, "k_p r_p"))
-        out.append(_entry("case 2: r_p k_p s_p / n_p >= m'_p",
-                          r_p * k_p * s_p // n_p >= mp_p,
-                          r_p * k_p * s_p // n_p, mp_p))
+        out.append(check_entry("case 2: s_p < m_p and n_p < k_p r_p",
+                               s_p < m_p and n_p < k_p * r_p,
+                               {"s_p": s_p, "m_p": m_p, "n_p": n_p}, "k_p r_p"))
+        out.append(check_entry("case 2: r_p k_p s_p / n_p >= m'_p",
+                               r_p * k_p * s_p // n_p >= mp_p,
+                               r_p * k_p * s_p // n_p, mp_p))
         quot = n_p // k_p
         S = geom_sum(1 + r_p, quot)
         if S % quot:
@@ -637,20 +639,20 @@ def piIgual_check(G: MetacyclicGroup, H: MetacyclicGroup) -> list[dict]:
     out = []
     pwG = perlis_walker(G.abelianization_invariants())
     pwH = perlis_walker(H.abelianization_invariants())
-    out.append(_entry("abelianizations agree (Perlis-Walker multisets)",
-                      pwG == pwH, list(pwG), list(pwH)))
+    out.append(check_entry("abelianizations agree (Perlis-Walker multisets)",
+                           pwG == pwH, list(pwG), list(pwH)))
     piG, piH = pi_sets(G), pi_sets(H)
-    out.append(_entry("pi agrees", piG[0] == piH[0], list(piG[0]), list(piH[0])))
-    out.append(_entry("pi' agrees", piG[1] == piH[1], list(piG[1]), list(piH[1])))
-    out.append(_entry("m_pi' agrees",
-                      part(invG.m, piG[1]) == part(invH.m, piH[1]),
-                      part(invG.m, piG[1]), part(invH.m, piH[1])))
-    out.append(_entry("n_pi' agrees",
-                      part(invG.n, piG[1]) == part(invH.n, piH[1]),
-                      part(invG.n, piG[1]), part(invH.n, piH[1])))
+    out.append(check_entry("pi agrees", piG[0] == piH[0], list(piG[0]), list(piH[0])))
+    out.append(check_entry("pi' agrees", piG[1] == piH[1], list(piG[1]), list(piH[1])))
+    out.append(check_entry("m_pi' agrees",
+                           part(invG.m, piG[1]) == part(invH.m, piH[1]),
+                           part(invG.m, piG[1]), part(invH.m, piH[1])))
+    out.append(check_entry("n_pi' agrees",
+                           part(invG.n, piG[1]) == part(invH.n, piH[1]),
+                           part(invG.n, piG[1]), part(invH.n, piH[1])))
     for p in piG[0]:
         SG = mcinv(sylow_presentation(G, p))[0]
         SH = mcinv(sylow_presentation(H, p))[0]
-        out.append(_entry(f"Sylow {p}-subgroups isomorphic", SG == SH,
-                          SG.to_json(), SH.to_json()))
+        out.append(check_entry(f"Sylow {p}-subgroups isomorphic", SG == SH,
+                               SG.to_json(), SH.to_json()))
     return out

@@ -34,9 +34,7 @@ from .invariants import (
     MCInv,
     construct_group,
     mcinv,
-    pi_sets,
     sylow_mcinv_consistency,
-    t_subgroup,
     tuple_from_parts,
     valid_tuples,
 )
@@ -215,10 +213,8 @@ def _check_recover_r(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
     comps = decomposition(G)
     out = []
     got = recover_R(comps, m_pp)
-    a_pp = G.generated([G.element_part(G.gen_a, der.pi_prime)])
-    want = t_subgroup(G, a_pp)
-    if got != want:
-        out.append(_finding("recoverR", "fail", repr(got), repr(want),
+    if got != der.R:
+        out.append(_finding("recoverR", "fail", repr(got), repr(der.R),
                             _group_label(inv)))
     deg = max(c.total_degree
               for c in filter_components(comps, filter_a1a2(m_pp)))
@@ -228,17 +224,24 @@ def _check_recover_r(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
     return 2, out
 
 
-def _check_degpag(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+def _per_prime(check: str, report_of, inv: MCInv,
+               G: MetacyclicGroup) -> tuple[int, list[dict]]:
+    """Entries of report_of(G, p) over the primes p in pi: those not n/a
+    are checked, the failed ones become findings labelled check[p=...]."""
     checked = 0
     out = []
-    for p in pi_sets(G)[0]:
-        for entry in sylow_mcinv_consistency(G, p):
-            checked += 1
+    for p in mcinv(G)[1].pi:
+        for entry in report_of(G, p):
+            checked += entry["status"] != "n/a"
             if entry["status"] == "fail":
-                out.append(_finding(f"degpag[p={p}] {entry['check']}", "fail",
+                out.append(_finding(f"{check}[p={p}] {entry['check']}", "fail",
                                     entry["lhs"], entry["rhs"],
                                     _group_label(inv)))
     return checked, out
+
+
+def _check_degpag(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+    return _per_prime("degpag", sylow_mcinv_consistency, inv, G)
 
 
 def _check_count_b(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
@@ -259,14 +262,10 @@ def _check_count_c(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
             continue
         checked += 1
         got = count_C(G, p)
-        want = formula_NG(G, p)
+        want, displayed = formula_NG(G, p)
         if got != want:
             out.append(_finding(f"countC[p={p}]", "fail", got, want,
                                 _group_label(inv)))
-        try:
-            displayed = formula_NG(G, p, table="displayed")
-        except ValueError:
-            displayed = None
         if displayed != got:
             out.append(_finding(f"countC[p={p}] displayed-table branch", "n/a",
                                 got, displayed, _group_label(inv)))
@@ -274,19 +273,7 @@ def _check_count_c(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
 
 
 def _check_section7(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
-    checked = 0
-    out = []
-    for p in mcinv(G)[1].pi:
-        report = section7_witness(G, p)
-        if report and report[0]["status"] == "n/a":
-            continue
-        for entry in report:
-            checked += 1
-            if entry["status"] == "fail":
-                out.append(_finding(f"section7[p={p}] {entry['check']}", "fail",
-                                    entry["lhs"], entry["rhs"],
-                                    _group_label(inv)))
-    return checked, out
+    return _per_prime("section7", section7_witness, inv, G)
 
 
 _GROUP_CHECKS = {
@@ -301,15 +288,15 @@ _GROUP_CHECKS = {
 }
 
 
-def _group_work(item: tuple[tuple[int, int, int, int, int], tuple[str, ...]]):
-    parts, names = item
-    inv = tuple_from_parts(*parts)
+def _group_work(item: tuple[MCInv, tuple[str, ...]]):
+    """({check: (checked, failures)}, findings) of one group."""
+    inv, names = item
     G = construct_group(inv)
     counts = {}
     findings = []
     for name in names:
         n, out = _GROUP_CHECKS[name](inv, G)
-        counts[name] = n
+        counts[name] = (n, sum(f["status"] == "fail" for f in out))
         findings.extend(out)
     return counts, findings
 
@@ -367,30 +354,27 @@ def run_checks(names: tuple[str, ...], max_order: int,
     fails = {name: 0 for name in names}
     findings: list[dict] = []
     if group_names:
-        items = [((inv.m, inv.n, inv.s, inv.m_prime, inv.delta_gen), group_names)
-                 for inv in valid_tuples(max_order)]
+        items = [(inv, group_names) for inv in valid_tuples(max_order)]
         workers = min(jobs, _cpus_available(), len(items))
         if workers > 1:
             chunk = max(1, len(items) // (workers * 8))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_group_work, items, chunksize=chunk))
         else:
-            results = [_group_work(item) for item in items]
+            results = map(_group_work, items)
         for cnts, finds in results:
-            for name, c in cnts.items():
+            for name, (c, f) in cnts.items():
                 counts[name] += c
+                fails[name] += f
             findings.extend(finds)
     if "iso-oracle" in names:
         checked, finds = check_iso_oracle(max_order)
         counts["iso-oracle"] = checked
+        fails["iso-oracle"] = len(finds)
         findings.extend(finds)
-    for entry in findings:
-        if entry["status"] == "fail":
-            base = entry["check"].split("[")[0]
-            fails[base] = fails.get(base, 0) + 1
     summaries = [
-        _finding(name, "fail" if fails.get(name) else "pass",
-                 counts[name], fails.get(name, 0), "summary")
+        _finding(name, "fail" if fails[name] else "pass",
+                 counts[name], fails[name], "summary")
         for name in names
     ]
     return findings, summaries
@@ -492,6 +476,11 @@ def main(argv: list[str] | None = None) -> int:
             unknown = [x for x in names if x not in CHECK_NAMES]
             if unknown:
                 raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            if not names:
+                raise ValueError("no checks given")
+            repeated = [x for x in dict.fromkeys(names) if names.count(x) > 1]
+            if repeated:
+                raise ValueError(f"repeated checks: {', '.join(repeated)}")
             return cmd_verify(cfg, names, out, err)
     except ValueError as exc:
         print(f"error: {exc}", file=err)

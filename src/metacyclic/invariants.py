@@ -414,6 +414,12 @@ def _exponent(G: MetacyclicGroup) -> int:
     return lcm(*(d for d, _ in G.order_profile()))
 
 
+def check_entry(check: str, ok: bool, lhs, rhs) -> dict:
+    """One line of a check report: {"check", "status", "lhs", "rhs"}."""
+    return {"check": check, "status": "pass" if ok else "fail",
+            "lhs": lhs, "rhs": rhs}
+
+
 def sylow_mcinv_consistency(G: MetacyclicGroup, p: int) -> list[dict]:
     """Consistency report between the tuple of G and that of its Sylow
     p-subgroup, for p in pi.
@@ -449,8 +455,7 @@ def sylow_mcinv_consistency(G: MetacyclicGroup, p: int) -> list[dict]:
     report: list[dict] = []
 
     def chk(name, ok, lhs, rhs):
-        report.append({"check": name, "status": "pass" if ok else "fail",
-                       "lhs": lhs, "rhs": rhs})
+        report.append(check_entry(name, ok, lhs, rhs))
 
     local = {"mu": mu, "nu": nu, "sigma": sigma, "rho": rho, "e": e}
     chk("A: rho = 0 forces mu = 0", rho != 0 or mu == 0, local, "mu = 0")

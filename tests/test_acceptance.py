@@ -10,21 +10,9 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
-from metacyclic.analysis import (
-    filter_a1a2,
-    filter_components,
-    max_degree_branch,
-    recover_R,
-)
 from metacyclic.cli import check_iso_oracle, consistent_presentations, run_checks
 from metacyclic.group import MetacyclicGroup
-from metacyclic.invariants import (
-    construct_group,
-    mcinv,
-    sylow_mcinv_consistency,
-    valid_tuples,
-)
-from metacyclic.numth import p_part
+from metacyclic.invariants import mcinv, valid_tuples
 from metacyclic.wedderburn import (
     RATIONALS,
     UNKNOWN,
@@ -125,36 +113,13 @@ def test_criterion_06_golden_decompositions(capsys) -> None:
 
 
 def test_criterion_07_recover_r_and_max_degree(capsys) -> None:
-    failures = []
-    tuples = valid_tuples(256)
-    for inv in tuples:
-        G = construct_group(inv)
-        _, der = mcinv(G)
-        m_pp = 1
-        for q in der.pi_prime:
-            m_pp *= p_part(inv.m, q)
-        decomp = decomposition(G)
-        if recover_R(decomp, m_pp) != der.R:
-            failures.append(("R", inv.to_json()))
-        filtered = filter_components(decomp, filter_a1a2(m_pp))
-        top = max(c.total_degree for c in filtered)
-        if top != max_degree_branch(G):
-            failures.append(("max degree", inv.to_json()))
+    checked, failures, _ = cli_check(("recoverR",), 256)
     report(capsys, 7, "action subgroup and top degree recovered from the algebra, "
-           "<= 256", failures, 2 * len(tuples))
+           "<= 256", failures, checked)
 
 
 def test_criterion_08_sylow_tuple_consistency(capsys) -> None:
-    failures = []
-    checked = 0
-    for inv in valid_tuples(256):
-        G = construct_group(inv)
-        _, der = mcinv(G)
-        for p in der.pi:
-            for entry in sylow_mcinv_consistency(G, p):
-                checked += 1
-                if entry["status"] != "pass":
-                    failures.append((inv.to_json(), p, entry))
+    checked, failures, _ = cli_check(("degpag",), 256)
     report(capsys, 8, "local/global tuple comparison clauses, <= 256", failures,
            checked)
 

@@ -99,22 +99,20 @@ def test_count_c_matches_direct_formula() -> None:
     ]
     for G, p, want in cases:
         assert count_C(G, p) == want
-        assert formula_NG(G, p) == want
+        assert formula_NG(G, p)[0] == want
 
 
 def test_displayed_table_disagreements_are_stable() -> None:
     """The printed closed-form table differs from the direct derivation
     on most inputs; these pinned values document the open question."""
-    assert formula_NG(G219, 3, table="displayed") == 7          # direct: 5
-    assert formula_NG(MetacyclicGroup(6, 4, 6, 5), 2, table="displayed") == 6
-    assert formula_NG(MetacyclicGroup(12, 2, 6, 5), 2, table="displayed") == 7
+    assert formula_NG(G219, 3) == (5, 7)
+    assert formula_NG(MetacyclicGroup(6, 4, 6, 5), 2) == (4, 6)
+    assert formula_NG(MetacyclicGroup(12, 2, 6, 5), 2) == (3, 7)
 
 
 def test_displayed_table_can_even_go_non_integer() -> None:
     G = construct_group(tuple_from_parts(24, 8, 12, 12, 5))
-    assert count_C(G, 2) == formula_NG(G, 2)
-    with pytest.raises(ValueError):
-        formula_NG(G, 2, table="displayed")
+    assert formula_NG(G, 2) == (count_C(G, 2), None)
 
 
 def test_uvt_basis_of_the_sylow_part() -> None:

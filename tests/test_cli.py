@@ -222,6 +222,35 @@ def test_verify_rejects_unknown_check(capsys) -> None:
     assert "unknown checks: bogus" in err
 
 
+def test_verify_rejects_empty_and_repeated_checks(capsys) -> None:
+    for checks, message in ((",", "no checks given"), (" , ", "no checks given"),
+                            ("roundtrip,roundtrip", "repeated checks: roundtrip"),
+                            ("degpag,roundtrip,degpag", "repeated checks: degpag")):
+        code, out, err = run_cli(capsys, "verify", "--max-order", "8",
+                                 "--checks", checks)
+        assert code == 1, checks
+        assert out == "" and err == f"error: {message}\n", checks
+
+
+def test_failures_are_counted_per_check(monkeypatch) -> None:
+    """Findings labelled degpag[p=...] count as failures of degpag alone."""
+    real = cli.sylow_mcinv_consistency
+
+    def first_clause_fails(G, p):
+        report = real(G, p)
+        return [report[0] | {"status": "fail"}] + report[1:]
+
+    monkeypatch.setattr(cli, "sylow_mcinv_consistency", first_clause_fails)
+    findings, summaries = cli.run_checks(("roundtrip", "degpag"), 16)
+    want = sum(len(invariants.mcinv(invariants.construct_group(inv))[1].pi)
+               for inv in invariants.valid_tuples(16))
+    assert want > 0
+    assert len(findings) == want
+    assert all(f["check"].startswith("degpag[p=") for f in findings)
+    assert [(s["check"], s["status"], s["rhs"]) for s in summaries] == [
+        ("roundtrip", "pass", 0), ("degpag", "fail", want)]
+
+
 def test_jobs_only_on_sweeping_commands(capsys) -> None:
     for argv in (["mcinv", "3", "2", "0", "2"], ["construct", "4", "2", "2", "4", "3"],
                  ["wedderburn", "3", "2", "0", "2"],

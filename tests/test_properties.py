@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from metacyclic.cli import MAX_ORDER_LIMIT
 from metacyclic.group import MetacyclicGroup
 from metacyclic.invariants import construct_group, mcinv, valid_tuples, validate_tuple
-from metacyclic.numth import divisors, units
+from metacyclic.numth import divisors, geom_sum, units
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -41,6 +41,23 @@ def test_mcinv_is_valid_and_a_fixed_point_of_construction(G) -> None:
     assert mcinv(construct_group(inv))[0] == inv
     if G.order <= 512:
         assert inv in valid_tuples(512)
+
+
+@PROFILE
+@given(presentations(), st.data())
+def test_mcinv_does_not_depend_on_the_presentation(G, data) -> None:
+    """One change of generators: a -> a^u, b -> a^i b or b -> b^v."""
+    m, n, s, t = G.m, G.n, G.s, G.t
+    move = data.draw(st.sampled_from(("a^u", "a^i b", "b^v")))
+    if move == "a^u":
+        H = MetacyclicGroup(m, n, s * data.draw(st.sampled_from(units(m))), t)
+    elif move == "a^i b":
+        i = data.draw(st.integers(0, m - 1))
+        H = MetacyclicGroup(m, n, s + i * geom_sum(t, n), t)
+    else:
+        v = data.draw(st.sampled_from(units(n)))
+        H = MetacyclicGroup(m, n, s * v, pow(t, v, m))
+    assert mcinv(H)[0] == mcinv(G)[0]
 
 
 @PROFILE

@@ -22,3 +22,25 @@ def test_package_has_no_assert_statements() -> None:
              for node in ast.walk(ast.parse(path.read_text()))
              if _is_assertion(node)]
     assert found == []
+
+
+def _is_lru_cache(node: ast.expr) -> bool:
+    """`lru_cache`, `functools.lru_cache`, either one called or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "lru_cache"
+
+
+def test_process_lifetime_caches_are_the_ones_the_readme_lists() -> None:
+    """Adding or removing an lru_cache means updating README "Caching" too."""
+    found = {f"{path.stem}.{node.name}"
+             for path in sorted(Path(metacyclic.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(_is_lru_cache(d) for d in node.decorator_list)}
+    assert found == {
+        "numth.prime_factors", "numth.divisors", "numth.phi", "numth.units",
+        "numth._canonical", "invariants.derive_rek", "invariants.valid_tuples",
+        "invariants.mcinv", "wedderburn.fixed_field", "wedderburn.decomposition",
+    }
