@@ -6,11 +6,10 @@ submodules carry the full API.
 """
 
 from .analysis import (
-    SectionFilter,
     UVT,
+    a1a2_components,
     count_B,
     count_C,
-    filter_components,
     formula_NE,
     formula_NG,
     max_degree_branch,
@@ -56,9 +55,8 @@ __all__ = [
     "strong_shoda_pairs",
     "perlis_walker",
     "compare_algebras",
-    "SectionFilter",
     "UVT",
-    "filter_components",
+    "a1a2_components",
     "recover_R",
     "max_degree_branch",
     "count_B",

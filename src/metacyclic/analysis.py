@@ -2,7 +2,7 @@
 
 Operationalizes the assertable constructions of the classification
 argument as checks on computed Wedderburn decompositions: component
-filters keyed by degree, center embedding and torsion; recovery of the
+counts keyed by degree, center embedding and torsion; recovery of the
 outer action on the pi'-part from the algebra alone; two component
 counting formulas, each paired with an independent brute-force count;
 and explicit strong Shoda pair witnesses for the distinguished
@@ -10,9 +10,14 @@ components used to pin down the action at a prime of r.
 
 Formula evaluation and brute-force counting deliberately share no
 intermediate values, so an integer equality between them is evidence,
-not tautology.  All operations canonicalize their input group first,
-because the constructions refer to generators of a minimal metacyclic
-factorization.
+not tautology.  The component counts, the regime gates and the local
+Sylow data depend only on the isomorphism class, so `count_B`,
+`count_C` and `regime_U` take any presentation as it is.  Only the
+witness constructions refer to the generators a and b of a minimal
+metacyclic factorization: `max_degree_branch`, `formula_NE` and
+`section7_witness` rebuild the canonical presentation once their
+invariant-only gate has passed, and `uvt_of`, `normalizer_of_K` and
+`formula_NG` always do.
 """
 
 from __future__ import annotations
@@ -71,69 +76,27 @@ def canonical_form(G: MetacyclicGroup) -> MetacyclicGroup:
     return construct_group(mcinv(G)[0])
 
 
-# -- component filters -------------------------------------------------------
+# -- counting components by degree and center -------------------------------
 
 
-@dataclass(frozen=True)
-class SectionFilter:
-    """Pure predicate on simple components.
-
-    degree: required reduced degree of the component (0 skips);
-    ambient: the center must embed in the cyclotomic field of this
-        conductor (0 skips);
-    torsion_banned: orders no root of unity in the center may have;
-    torsion_exact: exact order of the center's torsion group (0 skips).
-    """
-
-    degree: int = 0
-    ambient: int = 0
-    torsion_banned: tuple[int, ...] = ()
-    torsion_exact: int = 0
-
-    def matches(self, comp: SimpleComponent) -> bool:
-        F = comp.center
-        if self.degree and comp.total_degree != self.degree:
-            return False
-        if self.ambient and not is_subfield(F, cyclotomic_field(self.ambient)):
-            return False
-        if self.torsion_exact or self.torsion_banned:
-            tor = roots_of_unity_order(F)
-            if self.torsion_exact and tor != self.torsion_exact:
-                return False
-            if any(tor % q == 0 for q in self.torsion_banned):
-                return False
-        return True
+def a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, ...]:
+    """Components whose center embeds in Q(zeta_{m_pi'}) and whose only
+    roots of unity are +-1."""
+    ambient = cyclotomic_field(m_pi_prime)
+    return tuple(comp for comp in decomp
+                 if is_subfield(comp.center, ambient)
+                 and roots_of_unity_order(comp.center) == 2)
 
 
-def filter_components(decomp, f: SectionFilter) -> tuple[SimpleComponent, ...]:
-    return tuple(comp for comp in decomp if f.matches(comp))
-
-
-def filter_a1a2(m_pi_prime: int) -> SectionFilter:
-    """Center embeds in Q(zeta_{m_pi'}) and its only roots of unity are +-1."""
-    return SectionFilter(ambient=m_pi_prime, torsion_exact=2)
-
-
-def filter_b(G: MetacyclicGroup) -> SectionFilter:
-    """Degree k and no roots of unity of odd order from pi."""
-    _, der = mcinv(canonical_form(G))
-    return SectionFilter(degree=der.k,
-                         torsion_banned=tuple(q for q in der.pi if q != 2))
-
-
-def filter_c(G: MetacyclicGroup, p: int) -> SectionFilter:
-    """Degree l = lcm(k, |G'_p|), no odd pi-torsion away from p, and for
-    odd p additionally no fourth root of unity."""
-    GC = canonical_form(G)
-    _, der = mcinv(GC)
-    if p not in der.pi:
-        raise ValueError(f"{p} does not lie in pi for this group")
-    mu, _, _, rho, _ = _local_params(GC, p)
-    banned = tuple(q for q in der.pi if q not in (p, 2))
-    if p != 2:
-        banned += (4,)
-    return SectionFilter(degree=lcm(der.k, p ** (mu - rho)),
-                         torsion_banned=banned)
+def _count_components(decomp, degree: int, banned: tuple[int, ...]) -> int:
+    """Components of the given degree whose center has no root of unity
+    of an order in banned."""
+    count = 0
+    for comp in decomp:
+        if comp.total_degree == degree:
+            tor = roots_of_unity_order(comp.center)
+            count += not any(tor % q == 0 for q in banned)
+    return count
 
 
 def _base_field(GC: MetacyclicGroup) -> FixedField:
@@ -153,7 +116,7 @@ def recover_R(decomp, m_pi_prime: int) -> UnitSubgroup:
     of the center's fixer.  The input group is never consulted, so the
     result can be compared against the group-theoretic action.
     """
-    cands = filter_components(decomp, filter_a1a2(m_pi_prime))
+    cands = a1a2_components(decomp, m_pi_prime)
     if not cands:
         raise ValueError("no component passes the A1/A2 filter")
     top = max(comp.total_degree for comp in cands)
@@ -167,9 +130,9 @@ def recover_R(decomp, m_pi_prime: int) -> UnitSubgroup:
 def max_degree_branch(G: MetacyclicGroup) -> int:
     """Predicted maximal degree among A1/A2 components: k, doubling
     exactly when eps = -1, k is odd and a_2^2 avoids <b^4>."""
-    GC = canonical_form(G)
-    _, der = mcinv(GC)
+    _, der = mcinv(G)
     if der.eps == -1 and der.k % 2:
+        GC = canonical_form(G)
         a2sq = GC.power(GC.element_part(GC.gen_a, (2,)), 2)
         b4 = GC.cyclic_subgroup(GC.power(GC.gen_b, 4))
         if a2sq not in b4:
@@ -180,9 +143,9 @@ def max_degree_branch(G: MetacyclicGroup) -> int:
 # -- shared local data -------------------------------------------------------
 
 
-def _local_params(GC: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
+def _local_params(G: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
     """(mu, nu, sigma, rho, e) of the Sylow p-subgroup's own tuple."""
-    S = sylow_presentation(GC, p)
+    S = sylow_presentation(G, p)
     sinv, sder = mcinv(S)
     return vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p), vp(sder.r, p), sder.eps
 
@@ -191,17 +154,19 @@ def _local_params(GC: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]
 
 
 def count_B(G: MetacyclicGroup) -> int:
-    GC = canonical_form(G)
-    return len(filter_components(decomposition(GC), filter_b(GC)))
+    """Components of degree k with no root of unity of odd order from pi."""
+    _, der = mcinv(G)
+    return _count_components(decomposition(G), der.k,
+                             tuple(q for q in der.pi if q != 2))
 
 
-def _ne_regime(GC: MetacyclicGroup) -> tuple[str, int] | None:
+def _ne_regime(G: MetacyclicGroup) -> tuple[str, int] | None:
     """Shape and nu when the 2-local structure matches the counting
     argument's two group shapes; None otherwise."""
-    inv, der = mcinv(GC)
+    inv, der = mcinv(G)
     if 2 not in der.pi:
         return None
-    sinv, _ = mcinv(sylow_presentation(GC, 2))
+    sinv, _ = mcinv(sylow_presentation(G, 2))
     nu = vp(sinv.n, 2)
     if (sinv.m, sinv.n, sinv.s) != (4, 2 ** nu, 2) or nu < 2:
         return None
@@ -230,11 +195,11 @@ def formula_NE(G: MetacyclicGroup) -> int | None:
     orbits are counted under the b^2-subaction instead of factoring:
     2*nu*d + O(Q1) + O(Q2) with O the b^2-orbit count.
     """
-    GC = canonical_form(G)
-    data = _ne_regime(GC)
+    data = _ne_regime(G)
     if data is None:
         return None
     shape, nu = data
+    GC = canonical_form(G)
     _, der = mcinv(GC)
     k = der.k
     a_pp = GC.element_part(GC.gen_a, der.pi_prime)
@@ -280,11 +245,10 @@ def regime_U(G: MetacyclicGroup, p: int) -> bool:
     Conservative: any failed clause excludes the group from the formula
     rather than guessing.
     """
-    GC = canonical_form(G)
-    inv, der = mcinv(GC)
+    inv, der = mcinv(G)
     if p not in der.pi:
         return False
-    mu, nu, sigma, rho, e = _local_params(GC, p)
+    mu, nu, sigma, rho, e = _local_params(G, p)
     if e != 1 or der.eps != 1:
         return False
     k_p = p_part(der.k, p)
@@ -370,8 +334,16 @@ def normalizer_of_K(G: MetacyclicGroup, p: int,
 
 
 def count_C(G: MetacyclicGroup, p: int) -> int:
-    GC = canonical_form(G)
-    return len(filter_components(decomposition(GC), filter_c(GC, p)))
+    """Components of degree l = lcm(k, |G'_p|) with no odd pi-torsion
+    away from p, and for odd p no fourth root of unity either."""
+    _, der = mcinv(G)
+    if p not in der.pi:
+        raise ValueError(f"{p} does not lie in pi for this group")
+    mu, _, _, rho, _ = _local_params(G, p)
+    banned = tuple(q for q in der.pi if q not in (p, 2))
+    if p != 2:
+        banned += (4,)
+    return _count_components(decomposition(G), lcm(der.k, p ** (mu - rho)), banned)
 
 
 def _weight(i: int, y: int, t: int, d: int) -> Fraction:
@@ -487,7 +459,7 @@ def formula_NG(G: MetacyclicGroup, p: int) -> tuple[int, int | None]:
 
     direct = total(*_mn_direct(GC, p, uvt, l, ds))
     if direct.denominator != 1:
-        raise ValueError(f"formula evaluates to non-integer {direct}")
+        raise InvariantError(f"formula evaluates to non-integer {direct}")
     displayed = total(*_mn_displayed(p, uvt, l, mu, nu, rho, k_p, ds))
     return int(direct), int(displayed) if displayed.denominator == 1 else None
 
@@ -532,12 +504,12 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
     degree and the two center intersections that identify the p-part of
     the action inside the component's center.
     """
-    GC = canonical_form(G)
-    inv, der = mcinv(GC)
+    inv, der = mcinv(G)
     mp_p, r_p = p_part(der.m_prime, p), p_part(der.r, p)
     if p not in der.pi or mp_p <= r_p:
         return [check_entry(f"section7 p={p}", True, "not applicable",
                             "m'_p <= r_p") | {"status": "n/a"}]
+    GC = canonical_form(G)
     out = [check_entry("standing: r_p > 1", r_p > 1, r_p, "> 1"),
            check_entry("standing: s_p > 1", p_part(inv.s, p) > 1,
                        p_part(inv.s, p), "> 1")]
@@ -634,8 +606,8 @@ def piIgual_check(G: MetacyclicGroup, H: MetacyclicGroup) -> list[dict]:
     invG, derG = mcinv(G)
     invH, derH = mcinv(H)
     if invG != invH:
-        return [{"check": "piIgual premise: classifying tuples agree",
-                 "status": "n/a", "lhs": invG.to_json(), "rhs": invH.to_json()}]
+        return [check_entry("piIgual premise: classifying tuples agree", False,
+                            invG.to_json(), invH.to_json()) | {"status": "n/a"}]
     out = []
     pwG = perlis_walker(G.abelianization_invariants())
     pwH = perlis_walker(H.abelianization_invariants())

@@ -18,10 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import (
+    a1a2_components,
     count_B,
     count_C,
-    filter_a1a2,
-    filter_components,
     formula_NE,
     formula_NG,
     max_degree_branch,
@@ -216,8 +215,7 @@ def _check_recover_r(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
     if got != der.R:
         out.append(_finding("recoverR", "fail", repr(got), repr(der.R),
                             _group_label(inv)))
-    deg = max(c.total_degree
-              for c in filter_components(comps, filter_a1a2(m_pp)))
+    deg = max(c.total_degree for c in a1a2_components(comps, m_pp))
     branch = max_degree_branch(G)
     if deg != branch:
         out.append(_finding("recoverR", "fail", deg, branch, _group_label(inv)))

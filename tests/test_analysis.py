@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from metacyclic import analysis
 from metacyclic.analysis import (
     UVT,
+    a1a2_components,
     canonical_form,
     count_B,
     count_C,
-    filter_a1a2,
-    filter_components,
     formula_NE,
     formula_NG,
     max_degree_branch,
@@ -19,7 +21,13 @@ from metacyclic.analysis import (
     section7_witness,
     uvt_of,
 )
-from metacyclic.group import MetacyclicGroup, cocyclic_subgroup_from_triple, cocyclic_triples
+from metacyclic.cli import consistent_presentations
+from metacyclic.group import (
+    InvariantError,
+    MetacyclicGroup,
+    cocyclic_subgroup_from_triple,
+    cocyclic_triples,
+)
 from metacyclic.invariants import construct_group, mcinv, tuple_from_parts
 from metacyclic.numth import p_part
 from metacyclic.wedderburn import decomposition
@@ -38,9 +46,8 @@ def test_canonical_form_is_idempotent_and_isomorphism_invariant() -> None:
         canonical_form(MetacyclicGroup(4, 4, 2, 3)).key
 
 
-def test_filter_a1a2_on_s3() -> None:
-    degrees = sorted(c.total_degree
-                     for c in filter_components(decomposition(S3), filter_a1a2(3)))
+def test_a1a2_components_on_s3() -> None:
+    degrees = sorted(c.total_degree for c in a1a2_components(decomposition(S3), 3))
     assert degrees == [1, 1, 2]
 
 
@@ -62,9 +69,8 @@ def test_recover_r_from_spectrum_alone() -> None:
 def test_max_degree_branch_values() -> None:
     assert max_degree_branch(S3) == 2
     assert max_degree_branch(Q8) == 2
-    filtered = filter_components(decomposition(canonical_form(G219)),
-                                 filter_a1a2(_m_pi_prime(G219)))
-    assert max_degree_branch(G219) == max(c.total_degree for c in filtered)
+    comps = a1a2_components(decomposition(G219), _m_pi_prime(G219))
+    assert max_degree_branch(G219) == max(c.total_degree for c in comps)
 
 
 def test_count_b_and_its_formula() -> None:
@@ -83,6 +89,23 @@ def test_formula_ne_outside_regime_returns_none() -> None:
     G = MetacyclicGroup(6, 2, 0, 5)  # D12: no quaternion 2-part
     assert formula_NE(G) is None
     assert count_B(G) == 2  # the brute count still works
+
+
+def test_invariant_only_answers_do_not_depend_on_the_presentation() -> None:
+    """Every consistent presentation up to order 64 gives the answers its
+    canonical form gives.  The counts, the regime gates and the n/a test
+    of section7_witness read only mcinv, decomposition and the Sylow
+    tuples of the group they are given, so this pins that those agree."""
+    for G in consistent_presentations(64):
+        GC = canonical_form(G)
+        assert count_B(G) == count_B(GC), G.key
+        assert formula_NE(G) == formula_NE(GC), G.key
+        assert max_degree_branch(G) == max_degree_branch(GC), G.key
+        for p in mcinv(G)[1].pi:
+            assert regime_U(G, p) == regime_U(GC, p), (G.key, p)
+            if regime_U(G, p):
+                assert count_C(G, p) == count_C(GC, p), (G.key, p)
+            assert section7_witness(G, p) == section7_witness(GC, p), (G.key, p)
 
 
 def test_regime_u_gate() -> None:
@@ -113,6 +136,20 @@ def test_displayed_table_disagreements_are_stable() -> None:
 def test_displayed_table_can_even_go_non_integer() -> None:
     G = construct_group(tuple_from_parts(24, 8, 12, 12, 5))
     assert formula_NG(G, 2) == (count_C(G, 2), None)
+
+
+def test_non_integer_direct_count_is_a_broken_identity(monkeypatch) -> None:
+    """The direct parametrized count is an integer for every group in the
+    regime, so a fractional one is an InvariantError (exit 2), not bad
+    input.  Weights of 1/997 make the sum over fewer than 997 cocyclic
+    subgroups a proper fraction."""
+    def fractional(GC, p, uvt, l, ds):
+        weights = {d: Fraction(1, 997) for d in ds}
+        return weights, weights
+
+    monkeypatch.setattr(analysis, "_mn_direct", fractional)
+    with pytest.raises(InvariantError, match="non-integer"):
+        formula_NG(G219, 3)
 
 
 def test_uvt_basis_of_the_sylow_part() -> None:

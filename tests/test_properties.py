@@ -19,15 +19,38 @@ PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=N
                    suppress_health_check=[HealthCheck.too_slow])
 
 
+def _twist_orders(m: int) -> dict[int, int]:
+    """Each t != 1 mod m whose order d has m d <= 4096, mapped to d."""
+    out = {}
+    for t in units(m):
+        x, d = t, 1
+        while x != 1 and m * (d + 1) <= MAX_ORDER_LIMIT:
+            x, d = x * t % m, d + 1
+        if t != 1 and x == 1:
+            out[t] = d
+    return out
+
+
 @st.composite
 def presentations(draw) -> MetacyclicGroup:
-    """G(m, n, s, t) with m n <= 4096, t^n = 1 mod m and s(t - 1) = 0 mod m."""
-    order = draw(st.integers(1, MAX_ORDER_LIMIT))
-    m = draw(st.sampled_from(divisors(order)))
-    n = order // m
-    twists = [t for t in units(m) if pow(t, n, m) == 1 % m and t > 1]
-    # Abelian and non-abelian presentations about equally often.
-    t = draw(st.sampled_from(twists)) if twists and draw(st.booleans()) else 1 % m
+    """G(m, n, s, t) with m n <= 4096, t^n = 1 mod m and s(t - 1) = 0 mod m.
+
+    A drawn boolean chooses between a twisted (t != 1) and an untwisted
+    presentation, so neither kind is rare.  A twisted one draws m, then a
+    twist t of some order d with m d <= 4096 (t = -1 always qualifies),
+    then n among the multiples of d; an untwisted one draws its order from
+    1..4096 and m among its divisors.
+    """
+    if draw(st.booleans()):
+        m = draw(st.integers(3, MAX_ORDER_LIMIT // 2))
+        orders = _twist_orders(m)
+        t = draw(st.sampled_from(sorted(orders)))
+        n = orders[t] * draw(st.integers(1, MAX_ORDER_LIMIT // (m * orders[t])))
+    else:
+        order = draw(st.integers(1, MAX_ORDER_LIMIT))
+        m = draw(st.sampled_from(divisors(order)))
+        n = order // m
+        t = 1 % m
     step = m // math.gcd(t - 1, m)
     s = step * draw(st.integers(0, m // step - 1))
     return MetacyclicGroup(m, n, s, t)
