@@ -21,7 +21,7 @@ from .analysis import (
     uvt_of,
 )
 from .group import InvariantError, MetacyclicGroup, Subgroup
-from .invariants import MCInv, construct_group, isomorphic, mcinv, minimal_factorization, validate_tuple
+from .invariants import MCInv, construct_group, isomorphic, mcinv, validate_tuple
 from .wedderburn import (
     FixedField,
     SimpleComponent,
@@ -41,7 +41,6 @@ __all__ = [
     "InvariantError",
     "MCInv",
     "mcinv",
-    "minimal_factorization",
     "validate_tuple",
     "construct_group",
     "isomorphic",

@@ -17,7 +17,7 @@ witness constructions refer to the generators a and b of a minimal
 metacyclic factorization: `max_degree_branch`, `formula_NE` and
 `section7_witness` rebuild the canonical presentation once their
 invariant-only gate has passed, and `uvt_of`, `normalizer_of_K` and
-`formula_NG` always do.
+`formula_NG` once `regime_U` holds.
 """
 
 from __future__ import annotations
@@ -283,10 +283,19 @@ def _scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:
     return G.power(a_p, w)
 
 
-def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
+def _regime_canonical_form(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
+    """canonical_form(G), once G is known to lie in the counting regime at p."""
     if not regime_U(G, p):
         raise ValueError("group is outside the counting regime at this prime")
-    GC = canonical_form(G)
+    return canonical_form(G)
+
+
+def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
+    return _uvt(_regime_canonical_form(G, p), p)
+
+
+def _uvt(GC: MetacyclicGroup, p: int) -> UVT:
+    """uvt_of for the canonical presentation GC of a group in the regime."""
     inv, der = mcinv(GC)
     mu, nu, _, rho, _ = _local_params(GC, p)
     l_p = max(p_part(der.k, p), p ** (mu - rho))
@@ -324,8 +333,8 @@ def normalizer_of_K(G: MetacyclicGroup, p: int,
     """Predicted normalizer of the parametrized cocyclic subgroup of
     L_p: all of G except for i = 2 past the threshold, where it drops
     to <a, b^(y/t)>."""
-    GC = canonical_form(G)
-    uvt = uvt_of(GC, p)
+    GC = _regime_canonical_form(G, p)
+    uvt = _uvt(GC, p)
     _check_triple(uvt, p, triple)
     i, y, _ = triple
     if i == 2 and y >= uvt.t:
@@ -417,14 +426,12 @@ def formula_NG(G: MetacyclicGroup, p: int) -> tuple[int, int | None]:
     table carries transcription defects in two branches; displayed is
     None when the printed table does not even give an integer.
     """
-    if not regime_U(G, p):
-        raise ValueError("group is outside the counting regime at this prime")
-    GC = canonical_form(G)
+    GC = _regime_canonical_form(G, p)
     inv, der = mcinv(GC)
     mu, nu, _, rho, _ = _local_params(GC, p)
     k_p = p_part(der.k, p)
     l = lcm(der.k, p ** (mu - rho))
-    uvt = uvt_of(GC, p)
+    uvt = _uvt(GC, p)
 
     a_pp = GC.element_part(GC.gen_a, der.pi_prime)
     b_pp_l = GC.power(GC.element_part(GC.gen_b, der.pi_prime), l)

@@ -178,10 +178,11 @@ class MetacyclicGroup:
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        """Each cyclic subgroup once, with its least generator x as `generator`:
-        once <x> is found, every x^j with gcd(j, |x|) = 1 is skipped.  For
-        x = a^i b^j, f = gcd(j, n), <x> meets <a> in <x^(n/f)>, and x^u
-        with u j = f mod n lies in a^e b^f <a^c>."""
+        """Each cyclic subgroup once, sorted by order and then by triple,
+        with its least generator x as `generator`: once <x> is found, every
+        x^j with gcd(j, |x|) = 1 is skipped.  For x = a^i b^j, f = gcd(j, n),
+        <x> meets <a> in <x^(n/f)>, and x^u with u j = f mod n lies in
+        a^e b^f <a^c>."""
         found = []
         known: set[El] = set()
         for x in self.elements:
@@ -199,17 +200,17 @@ class MetacyclicGroup:
             e = powers[pow(x[1] // f, -1, self.n // f)][0] % c
             S = Subgroup(self, c, e, f)
             S.generator = x
-            found.append((k, sorted(powers), S))
-        return tuple(S for *_, S in sorted(found))
+            found.append(S)
+        return tuple(sorted(found, key=lambda S: (S.order, S.triple)))
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, one per canonical triple, sorted by order and
-        then by element list."""
+        then by triple."""
         subs = [Subgroup(self, c, e, f)
                 for c in divisors(self.m) for f in divisors(self.n)
                 for e in range(c)
                 if self.power((e, f % self.n), self.n // f)[0] % c == 0]
-        return tuple(sorted(subs, key=lambda S: (S.order, tuple(S))))
+        return tuple(sorted(subs, key=lambda S: (S.order, S.triple)))
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""

@@ -213,13 +213,6 @@ def _minimal_pairs(G: MetacyclicGroup):
     return best_key, tuple(pairs)
 
 
-def minimal_factorization(G: MetacyclicGroup) -> tuple[Subgroup, Subgroup]:
-    """A factorization G = AB achieving the lexicographic minimum of
-    (|A|, r(A), [G:B]); ties are broken by the smallest element lists."""
-    _, pairs = _minimal_pairs(G)
-    return min(pairs, key=lambda AB: (tuple(AB[0]), tuple(AB[1])))
-
-
 def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(pi, pi'): pi collects the primes with a normal Hall complement."""
     ps = sorted(primes_of(G.order))

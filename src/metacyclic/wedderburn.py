@@ -131,23 +131,20 @@ def galois_preimage(F: FixedField, modulus: int) -> UnitSubgroup:
 
 
 def is_subfield(F: FixedField, E: FixedField) -> bool:
-    """Whether F embeds in E, i.e. F is fixed by everything fixing E."""
+    """Whether F embeds in E.  Conductors are minimal, so F lies in
+    Q(zeta_E.conductor) iff F.conductor divides it; then F is inside E iff
+    everything fixing E fixes F, i.e. E's fixer restricts into F's."""
     if E.conductor % F.conductor:
         return False
-    pre = set(galois_preimage(F, E.conductor).elements)
-    return all(x in pre for x in E.fixer.elements)
+    return set(restrict(E.fixer, F.conductor).elements) <= set(F.fixer.elements)
 
 
 def intersect_cyclotomic(F: FixedField, c: int) -> FixedField:
-    """The field F meet Q(zeta_c), canonicalized.
-
-    Both live in Q(zeta_M) for M = lcm; the intersection is fixed by the
-    join of the two Galois groups.
-    """
-    M = lcm(F.conductor, c)
-    gens = list(galois_preimage(F, M).elements)
-    gens += [x for x in units(M) if x % c == 1 % c]
-    return fixed_field(M, from_generators(M, gens))
+    """The field F meet Q(zeta_c), canonicalized.  Q(zeta_a) meet Q(zeta_b)
+    is Q(zeta_gcd(a, b)), so this is F meet Q(zeta_g) for g the gcd of c
+    and F's conductor: the fixed field of F's fixer restricted to U_g."""
+    g = math.gcd(F.conductor, c)
+    return fixed_field(g, restrict(F.fixer, g))
 
 
 def roots_of_unity_order(F: FixedField) -> int:
@@ -199,12 +196,12 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
 
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
     of t mod m (the largest abelian <a, b^j>, j | n).  Each returned K is
-    the representative of its conjugacy class with the smallest element
-    list, i.e. the first in the sorted subgroup order; conjugate
-    candidates qualify or fail together.  Normality of K in L is checked
-    outright (it follows from L' <= K); cyclicity is checked during the
-    search, and the remaining strong-pair axioms hold by the
-    classification of metabelian group algebras, with
+    the first of its conjugacy class in the (order, triple) order of
+    `subgroups()`; conjugate candidates qualify or fail together, and
+    `component_of` does not depend on which conjugate it is given.
+    Normality of K in L is checked outright (it follows from L' <= K);
+    cyclicity is checked during the search, and the remaining strong-pair
+    axioms hold by the classification of metabelian group algebras, with
     :func:`idempotent_check` available as an independent verifier at
     small orders.
     """
@@ -370,9 +367,10 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     With N = N_G(K), u a generator of L/K and w a generator of the cyclic
     N/L: x is the conjugation exponent u^w = u^x mod K, y the twist
     w^[N:L] = u^y mod K, and the center is the fixed field of <x> in
-    Q(zeta_[L:K]).  K is first moved to the smallest member of its
-    conjugacy class so conjugate inputs yield identical descriptors (the
-    twist depends on the representative, everything else does not).  N
+    Q(zeta_[L:K]).  K is first moved to the conjugate with the smallest
+    element list, so conjugate inputs yield identical descriptors (the
+    twist depends on the representative, everything else does not); u and
+    w are the least elements generating their quotients.  N
     contains a, hence G', so it is normal and normalizes every conjugate.
     """
     if _qualifies(G, K) != L:

@@ -176,6 +176,27 @@ def test_normalizer_prediction_matches_group_computation() -> None:
         assert GC.normalizer(K).elems == predicted.elems, triple
 
 
+def test_regime_constructions_build_the_canonical_form_once(monkeypatch) -> None:
+    """formula_NG and normalizer_of_K gate on regime_U, then build the
+    canonical presentation once and read u, v, t off it."""
+    built = []
+
+    def counted(inv):
+        built.append(inv)
+        return construct_group(inv)
+
+    monkeypatch.setattr(analysis, "construct_group", counted)
+    formula_NG(G219, 3)
+    assert len(built) == 1
+    built.clear()
+    normalizer_of_K(G219, 3, (1, 1, 1))
+    assert len(built) == 1
+    built.clear()
+    with pytest.raises(ValueError):
+        normalizer_of_K(S3, 2, (1, 1, 1))
+    assert built == []
+
+
 def test_section7_witness_not_applicable_when_r_fills_m_prime() -> None:
     w = section7_witness(S3, 2)
     assert len(w) == 1 and w[0]["status"] == "n/a"

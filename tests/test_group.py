@@ -185,7 +185,7 @@ def test_conjugates_and_subgroup_classes() -> None:
     # <a>, two Klein fours and the whole group
     reps = D8.subgroup_classes(D8.subgroups())
     assert len(reps) == 8
-    assert reps == sorted(reps, key=lambda S: (S.order, tuple(S)))
+    assert reps == sorted(reps, key=lambda S: (S.order, S.triple))
     # conjugation by a alone already moves every reflection subgroup
     assert len(D8.subgroup_classes(D8.subgroups(), gens=(D8.gen_a,))) == 8
     # the trivial subaction leaves every subgroup in its own orbit
@@ -227,15 +227,17 @@ def test_lattice_operations_against_brute_force() -> None:
             powers.setdefault(frozenset(G.power(x, k) for k in range(G.order)), x)
         cyc = G.cyclic_subgroups()
         assert all(Subgroup(G, *S.triple).elems == S.elems for S in cyc), G
-        assert [(S.elems, S.generator) for S in cyc] == sorted(
-            powers.items(), key=lambda Px: (len(Px[0]), sorted(Px[0]))), G
+        assert len(cyc) == len(powers), G
+        assert {S.elems: S.generator for S in cyc} == powers, G
+        assert list(cyc) == sorted(cyc, key=lambda S: (S.order, S.triple)), G
 
 
 def test_triples_against_bfs_closures() -> None:
     """subgroups() against the breadth-first closures of every candidate
     <a^d, a^e b^f>, and generated() against the closures of seeded random
     generator lists, for every class up to order 128.  Iterating a
-    subgroup lists its closure in sorted order."""
+    subgroup lists its closure in sorted order, and subgroups() is sorted
+    by order and then by triple."""
     rng = random.Random(0)
     for inv in valid_tuples(128):
         G = construct_group(inv)
@@ -244,8 +246,8 @@ def test_triples_against_bfs_closures() -> None:
                                     G.mul))
                     for d in divisors(G.m) for f in divisors(G.n) for e in range(d)}
         subs = G.subgroups()
-        assert [list(S) for S in subs] == sorted(
-            map(sorted, closures), key=lambda P: (len(P), P)), G
+        assert sorted(list(S) for S in subs) == sorted(map(sorted, closures)), G
+        assert list(subs) == sorted(subs, key=lambda S: (S.order, S.triple)), G
         assert len({S.triple for S in subs}) == len(subs), G
         assert all(G.generated(S.gens) == S for S in subs), G
         for _ in range(20):

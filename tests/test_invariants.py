@@ -11,7 +11,6 @@ from metacyclic.invariants import (
     isomorphic,
     m_prime_of,
     mcinv,
-    minimal_factorization,
     pi_sets,
     rek_of,
     sylow_mcinv_consistency,
@@ -73,13 +72,14 @@ def test_t_subgroup_requires_normal_cyclic() -> None:
 
 
 def test_minimal_factorization_shapes() -> None:
-    A, B = minimal_factorization(MetacyclicGroup(3, 2, 0, 2))
-    assert (A.order, B.order) == (3, 2)
-    assert A.is_normal and A.is_cyclic and B.is_cyclic
-    # the modular group of order 16 admits a smaller kernel than <a>
-    A, B = minimal_factorization(MetacyclicGroup(8, 2, 0, 5))
-    assert A.order == 4 and A.is_normal
-    assert {G_el for G_el in A} | {G_el for G_el in B}  # nonempty factors
+    # m = |A| for a minimal factorization G = AB: S3 = C3 C2, and the
+    # modular group of order 16 admits a smaller kernel than <a>
+    for G, m in ((MetacyclicGroup(3, 2, 0, 2), 3), (MetacyclicGroup(8, 2, 0, 5), 4)):
+        assert mcinv(G)[0].m == m
+        _, pairs = invariants._minimal_pairs(G)
+        for A, B in pairs:
+            assert A.order == m and A.is_normal and A.is_cyclic and B.is_cyclic
+            assert G.generated(A.gens + B.gens).order == G.order
 
 
 def test_factorization_test_matches_the_coset_order_scan() -> None:

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-from collections import Counter
+import itertools
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -10,7 +11,7 @@ from metacyclic import group, wedderburn
 from metacyclic.analysis import formula_NE, formula_NG, section7_witness
 from metacyclic.cli import main
 from metacyclic.group import InvariantError, MetacyclicGroup, Subgroup
-from metacyclic.invariants import mcinv
+from metacyclic.invariants import construct_group, mcinv, valid_tuples
 from metacyclic.wedderburn import (
     DIFFERENT,
     EQUAL,
@@ -32,7 +33,7 @@ from metacyclic.wedderburn import (
     roots_of_unity_order,
     strong_shoda_pairs,
 )
-from metacyclic.numth import cyclic_subgroup
+from metacyclic.numth import cyclic_subgroup, from_generators, lcm, units
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -83,6 +84,39 @@ def test_subfield_and_intersection() -> None:
 def test_galois_preimage_fixes_the_field() -> None:
     assert galois_preimage(cyclotomic_field(4), 12).elements == (1, 5)
     assert galois_preimage(RATIONALS, 8).elements == (1, 3, 5, 7)
+
+
+def _preimage_is_subfield(F, E) -> bool:
+    """is_subfield through the preimage of F's fixer mod E's conductor."""
+    if E.conductor % F.conductor:
+        return False
+    pre = set(galois_preimage(F, E.conductor).elements)
+    return all(x in pre for x in E.fixer.elements)
+
+
+def _preimage_intersect_cyclotomic(F, c: int):
+    """intersect_cyclotomic inside Q(zeta_lcm), fixed by the join of the
+    preimage of F's fixer and the units that are 1 mod c."""
+    M = lcm(F.conductor, c)
+    gens = list(galois_preimage(F, M).elements)
+    gens += [x for x in units(M) if x % c == 1 % c]
+    return fixed_field(M, from_generators(M, gens))
+
+
+def test_field_predicates_against_the_preimage_route() -> None:
+    """is_subfield and intersect_cyclotomic, which restrict fixers to a
+    smaller conductor, against the routes through Galois preimages: on
+    every pair of fields among the centers up to order 128 and Q(zeta_d)
+    for d <= 128, and on every such field meet Q(zeta_c) for c <= 10."""
+    fields = {comp.center for inv in valid_tuples(128)
+              for comp in decomposition(construct_group(inv))}
+    fields |= {cyclotomic_field(d) for d in range(1, 129)}
+    assert len(fields) == 205
+    for F, E in itertools.product(fields, repeat=2):
+        assert is_subfield(F, E) == _preimage_is_subfield(F, E), (F, E)
+    for F in fields:
+        for c in range(1, 11):
+            assert intersect_cyclotomic(F, c) == _preimage_intersect_cyclotomic(F, c), (F, c)
 
 
 def test_strong_shoda_pairs_counts_and_idempotents() -> None:
@@ -203,6 +237,21 @@ def test_compare_algebras_verdicts() -> None:
     assert compare_algebras(Q8, D8) == UNKNOWN  # never EQUAL on this pair
     assert compare_algebras(Q8, Q8) == EQUAL
     assert compare_algebras(S3, MetacyclicGroup(6, 1, 0, 1)) == DIFFERENT
+
+
+def test_no_two_classes_up_to_256_have_equal_algebras() -> None:
+    """The paper's theorem: QG = QH forces G = H for metacyclic groups.
+    compare_algebras answers EQUAL only when every descriptor matches, so
+    EQUAL for two classes would contradict the theorem or the code.  The
+    pairs that share a fingerprint stay UNKNOWN, since the descriptors do
+    not decide Brauer classes."""
+    buckets = defaultdict(list)
+    for inv in valid_tuples(256):
+        G = construct_group(inv)
+        buckets[(G.order, fingerprint(decomposition(G)))].append(G)
+    verdicts = Counter(compare_algebras(G, H) for same in buckets.values()
+                       for G, H in itertools.combinations(same, 2))
+    assert verdicts == {UNKNOWN: 77}
 
 
 def test_fingerprint_is_degree_center_multiset() -> None:
