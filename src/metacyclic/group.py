@@ -178,30 +178,8 @@ class MetacyclicGroup:
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        """Each cyclic subgroup once, sorted by order and then by triple,
-        with its least generator x as `generator`: once <x> is found, every
-        x^j with gcd(j, |x|) = 1 is skipped.  For x = a^i b^j, f = gcd(j, n),
-        <x> meets <a> in <x^(n/f)>, and x^u with u j = f mod n lies in
-        a^e b^f <a^c>."""
-        found = []
-        known: set[El] = set()
-        for x in self.elements:
-            if x in known:
-                continue
-            powers = [self.identity]
-            y = x
-            while y != self.identity:
-                powers.append(y)
-                y = self.mul(y, x)
-            k = len(powers)
-            known.update(powers[j] for j in range(1, k) if math.gcd(j, k) == 1)
-            f = math.gcd(x[1], self.n)
-            c = math.gcd(self.m, powers[self.n // f % k][0])
-            e = powers[pow(x[1] // f, -1, self.n // f)][0] % c
-            S = Subgroup(self, c, e, f)
-            S.generator = x
-            found.append(S)
-        return tuple(sorted(found, key=lambda S: (S.order, S.triple)))
+        """The cyclic members of `subgroups()`, in its order."""
+        return tuple(S for S in self.subgroups() if S.is_cyclic)
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, one per canonical triple, sorted by order and
@@ -349,8 +327,9 @@ class Subgroup:
     """<a^c, a^e b^f>, stored as its canonical triple (c, e, f): c | m,
     f | n, 0 <= e < c and (a^e b^f)^(n/f) in <a^c>, so the subgroup meets
     <a> in <a^c> and maps onto <b^f> in G/<a>, and no other triple gives
-    it.  Membership is arithmetic and iteration is lazy and sorted; only
-    `idempotent_check` and the tests build the element set `elems`."""
+    it.  Membership, cyclicity and a generator are arithmetic on the
+    triple, and iteration is lazy and sorted; only `idempotent_check` and
+    the tests build the element set `elems`."""
 
     def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int):
         self.group = group
@@ -364,12 +343,24 @@ class Subgroup:
 
     @cached_property
     def generator(self) -> El | None:
-        """Smallest element of full order, None when the subgroup is not cyclic."""
-        k = self.order
-        for x in self:
-            if self.group.element_order(x) == k:
-                return x
-        return None
+        """A generator read off the triple, None when the subgroup is not
+        cyclic.  With M = m/c, N = n/f, x = a^e b^f and x^N = a^i: S is
+        abelian iff x commutes with a^c, i.e. t^f = 1 mod M, and then
+        S = <a^c> <x> has relation matrix [[M, 0], [-i/c, N]], so it is
+        cyclic iff gcd(M, N, i/c) = 1.  y = x a^(cj) = a^(e+cj) b^f maps
+        onto the generator of S/<a^c> = C_N, so it generates S iff
+        y^N = a^(i + cjN) generates <a^c>; as gcd(M, N, i/c) = 1 such a
+        j exists, and the least one is below M."""
+        G = self.group
+        c, e, f = self.triple
+        M, N = G.m // c, G.n // f
+        if pow(G.t, f, M) != 1 % M:
+            return None
+        i = G.power(self.gens[1], N)[0] // c
+        if math.gcd(M, N, i) != 1:
+            return None
+        j = next(j for j in range(M) if math.gcd(i + j * N, M) == 1)
+        return (e + c * j, f % G.n)
 
     @property
     def is_cyclic(self) -> bool:
