@@ -203,10 +203,12 @@ class MetacyclicGroup:
     def conjugates(self, S: "Subgroup", gens=None) -> set["Subgroup"]:
         """Orbit of S under conjugation by the group generated by `gens`,
         by default the whole group.  The whole group conjugates S once by
-        each element of a transversal of the normalizer of S."""
+        each a^i b^j with i < c and j < f, for (c, e, f) the triple of
+        N_G(S): one element of each right coset of the normalizer."""
         if gens is None:
-            return {self.conjugate_subgroup(S, x)
-                    for x in self.transversal(self.normalizer(S))}
+            c, _, f = self.normalizer(S).triple
+            return {self.conjugate_subgroup(S, (i, j))
+                    for i in range(c) for j in range(f)}
         return orbit(S, gens, self.conjugate_subgroup)
 
     def subgroup_classes(self, subs: Iterable["Subgroup"],
@@ -231,11 +233,6 @@ class MetacyclicGroup:
         e, f = next((e, f) for f in divisors(n) for e in range(c)
                     if member((e, f % n)))
         return Subgroup(self, c, e, f)
-
-    def transversal(self, H: "Subgroup") -> list[El]:
-        """{a^i b^j : i < c, j < f}, one element of each right coset H x."""
-        c, _, f = H.triple
-        return [(i, j) for i in range(c) for j in range(f)]
 
     def normalizer(self, S: "Subgroup") -> "Subgroup":
         """N_G(S), from the least c | m and then the least f | n for which

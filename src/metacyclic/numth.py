@@ -164,21 +164,6 @@ def _canonical(modulus: int, elements: tuple[int, ...]) -> UnitSubgroup:
     return UnitSubgroup(modulus, elements, gen)
 
 
-def unit_subgroup(modulus: int, elements) -> UnitSubgroup:
-    """Wrap an already multiplicatively closed residue set."""
-    if modulus == 1:
-        return _canonical(1, (0,))
-    elems = sorted({x % modulus for x in elements} | {1})
-    for x in elems:
-        if math.gcd(x, modulus) != 1:
-            raise ValueError(f"{x} is not a unit mod {modulus}")
-    sub = tuple(elems)
-    closed = {(a * b) % modulus for a in sub for b in sub}
-    if closed != set(sub):
-        raise ValueError("element set is not multiplicatively closed")
-    return _canonical(modulus, sub)
-
-
 def orbit(start, gens, act) -> set:
     """Closure of {start} under x -> act(x, g) for every g in gens.
 
@@ -231,6 +216,14 @@ def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
     if sub.modulus == 1:
         raise ValueError("cannot restrict the modulus-1 group to a larger modulus")
     return _canonical(q, tuple(sorted({x % q for x in sub.elements})))
+
+
+def preimage(sub: UnitSubgroup, modulus: int) -> UnitSubgroup:
+    """Inverse image of the subgroup under reduction from `modulus` (a
+    multiple of its modulus); the mirror of `restrict`."""
+    if modulus < 1 or modulus % sub.modulus != 0:
+        raise ValueError(f"{modulus} is not a multiple of the modulus {sub.modulus}")
+    return _canonical(modulus, tuple(x for x in units(modulus) if x in sub))
 
 
 def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSubgroup, ...]:

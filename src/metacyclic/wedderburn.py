@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .group import El, InvariantError, MetacyclicGroup, Subgroup
 from .numth import (
@@ -25,10 +26,10 @@ from .numth import (
     lcm,
     mult_order,
     phi,
+    preimage,
     prime_factors,
     restrict,
     trivial_subgroup,
-    unit_subgroup,
     units,
 )
 
@@ -123,11 +124,7 @@ def galois_preimage(F: FixedField, modulus: int) -> UnitSubgroup:
     """Subgroup of U_modulus acting trivially on F inside Q(zeta_modulus)."""
     if modulus % F.conductor:
         raise ValueError("field does not embed: conductor must divide modulus")
-    if modulus == 1:
-        return trivial_subgroup(1)
-    return unit_subgroup(
-        modulus, [x for x in units(modulus) if x % F.conductor in F.fixer]
-    )
+    return preimage(F.fixer, modulus)
 
 
 def is_subfield(F: FixedField, E: FixedField) -> bool:
@@ -195,27 +192,34 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
     """One strong Shoda pair (L, K) per conjugacy class of K.
 
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
-    of t mod m (the largest abelian <a, b^j>, j | n).  Each returned K is
-    the first of its conjugacy class in the (order, triple) order of
-    `subgroups()`; conjugate candidates qualify or fail together, and
-    `component_of` does not depend on which conjugate it is given.
+    of t mod m (the largest abelian <a, b^j>, j | n).  Conjugate
+    candidates qualify or fail together, with the same L, so the walk
+    over `subgroups()` tests each class once, at its first member, and
+    returns the member of the class with the least element list: the
+    conjugate that the twist y of `component_of` refers to.  Conjugates
+    share c and f, and the sorted element list of <a^c, a^e b^f> repeats,
+    for each i mod c, the row of its first n/f elements, those with i < c;
+    so comparing those n/f elements orders the conjugates exactly.
     Normality of K in L is checked outright (it follows from L' <= K);
     cyclicity is checked during the search, and the remaining strong-pair
     axioms hold by the classification of metabelian group algebras, with
     :func:`idempotent_check` available as an independent verifier at
     small orders.
     """
-    partner: dict[Subgroup, Subgroup] = {}
-    for K in G.subgroups():
-        L = _qualifies(G, K)
-        if L is not None:
-            partner[K] = L
+    seen: set[Subgroup] = set()
     pairs = []
-    for K in G.subgroup_classes(partner):
-        L = partner[K]
+    for K in G.subgroups():
+        if K in seen:
+            continue
+        L = _qualifies(G, K)
+        if L is None:
+            continue
         if not all(K.normalized_by(g) for g in L.gens):
             raise InvariantError(f"{K!r} is not normal in {L!r} in {G!r}")
-        pairs.append((L, K))
+        conjugates = G.conjugates(K)
+        seen |= conjugates
+        head = G.n // K.triple[2]
+        pairs.append((L, min(conjugates, key=lambda C: tuple(islice(C, head)))))
     return tuple(pairs)
 
 
@@ -367,17 +371,18 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     With N = N_G(K), u a generator of L/K and w a generator of the cyclic
     N/L: x is the conjugation exponent u^w = u^x mod K, y the twist
     w^[N:L] = u^y mod K, and the center is the fixed field of <x> in
-    Q(zeta_[L:K]).  K is first moved to the conjugate with the smallest
-    element list, so conjugate inputs yield identical descriptors (the
-    twist depends on the representative, everything else does not); u and
-    w are the least elements generating their quotients.  N
-    contains a, hence G', so it is normal and normalizes every conjugate.
+    Q(zeta_[L:K]); u and w are the least elements generating their
+    quotients.  The descriptor is that of the K given: only y depends on
+    which conjugate it is.  N contains a, hence G', so it is normal and
+    the same for every conjugate, and w with it; conjugating K by g
+    transports the action of w to that of g w g^-1, which differs from w
+    by an element of G' <= L acting trivially on the abelian L/K.  So x,
+    the center and the degrees do not depend on the conjugate.
+    `decomposition` passes the conjugate `strong_shoda_pairs` chose.
     """
     if _qualifies(G, K) != L:
         raise ValueError("(L, K) is not a strong Shoda pair of G")
     N = G.normalizer(K)
-    K = min((G.conjugate_subgroup(K, g) for g in G.transversal(N)),
-            key=tuple)
     idx = L.order // K.order
     u = _coset_generator(G, L, K)
     w = _coset_generator(G, N, L)

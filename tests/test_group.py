@@ -222,7 +222,7 @@ def test_lattice_operations_against_brute_force() -> None:
             assert N.elems == {x for x, img in images.items() if img == S.elems}, (G, S)
             assert G.generated(N.gens) == N
             assert {x for x in G.elements if x in S} == S.elems, (G, S)
-            assert len(G.transversal(N)) == G.order // N.order
+            assert len(G.conjugates(S)) == G.order // N.order
             assert {C.elems for C in G.conjugates(S)} == set(images.values()), (G, S)
         powers = {}
         for x in G.elements:

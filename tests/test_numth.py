@@ -18,11 +18,11 @@ from metacyclic.numth import (
     p_part,
     part,
     phi,
+    preimage,
     prime_factors,
     primes_of,
     restrict,
     trivial_subgroup,
-    unit_subgroup,
     units,
     vp,
 )
@@ -109,8 +109,10 @@ def test_units_degenerate_modulus() -> None:
     assert units(8) == (1, 3, 5, 7)
 
 
-def test_unit_subgroup_closure_and_canonical_generator() -> None:
-    sub = unit_subgroup(16, (1, 7, 9, 15))
+def test_unit_subgroup_preimage_and_canonical_generator() -> None:
+    sub = preimage(from_generators(8, [7]), 16)
+    assert sub.elements == (1, 7, 9, 15)
+    assert restrict(sub, 8).elements == (1, 7)
     assert sub.order == 4
     assert not sub.is_cyclic
     assert 7 in sub and 3 not in sub
@@ -119,8 +121,10 @@ def test_unit_subgroup_closure_and_canonical_generator() -> None:
     assert cyc.is_cyclic
     assert cyc.canonical_generator() == 3
     assert cyclic_subgroup(11, 16) == cyc  # 11 = 3^3 generates the same subgroup
+    assert preimage(trivial_subgroup(1), 8).elements == units(8)
+    assert preimage(trivial_subgroup(1), 1) == trivial_subgroup(1)
     with pytest.raises(ValueError):
-        unit_subgroup(8, (1, 3, 5))  # not closed
+        preimage(cyc, 24)  # 24 is not a multiple of 16
 
 
 def test_orbit_is_the_closure_under_the_action() -> None:

@@ -162,6 +162,26 @@ def test_coset_generators_match_the_coset_order_scan() -> None:
     assert checked == 2 * 5351
 
 
+def test_strong_shoda_pairs_return_the_least_conjugate_of_each_class() -> None:
+    """For every class up to order 128, each returned K is the least of its
+    conjugates by full element list, the oracle for the c-row key of
+    `strong_shoda_pairs`; the orbits of the returned Ks are disjoint, and
+    together they are exactly the subgroups that qualify."""
+    count = 0
+    for inv in valid_tuples(128):
+        G = construct_group(inv)
+        covered: set[Subgroup] = set()
+        for _, K in strong_shoda_pairs(G):
+            orbit = G.conjugates(K)
+            assert K == min(orbit, key=tuple), (G, K)
+            assert not orbit & covered, (G, K)
+            covered |= orbit
+            count += 1
+        assert covered == {S for S in G.subgroups()
+                           if wedderburn._qualifies(G, S) is not None}, G
+    assert count == 5351
+
+
 def test_decomposition_s3() -> None:
     comps = decomposition(S3)
     dims = sorted(c.q_dimension for c in comps)
