@@ -150,11 +150,6 @@ def derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
     return r, eps, k
 
 
-def rek_of(G: MetacyclicGroup, A: Subgroup) -> tuple[int, int, int]:
-    """(r, eps, k) of the action of G on a normal cyclic subgroup A."""
-    return derive_rek(A.order, t_subgroup(G, A))
-
-
 def m_prime_of(m: int, n: int, s: int, r: int, eps: int, k: int) -> int:
     """Canonical modulus m' | m on which the action invariant is recorded.
 
@@ -184,33 +179,32 @@ def m_prime_of(m: int, n: int, s: int, r: int, eps: int, k: int) -> int:
 # -- minimal factorization and the classifying tuple ------------------------
 
 
-def _minimal_pairs(G: MetacyclicGroup):
-    """((m, r, s), pairs) over all factorizations achieving the minimum."""
-    order = G.order
+def _minimal_factors(G: MetacyclicGroup):
+    """((m, r, s), actions): the least key over the factorizations G = AB,
+    and the action of G on each factor A that achieves it.
+
+    G/A = B/(A meet B) is cyclic, so A contains G' = <a^g> with
+    g = gcd(t - 1, m), and every subgroup containing G' is normal: only
+    the A = <a^c, a^e b^f> with c | g are tried.  For each, the largest
+    cyclic B mapping onto G/A gives s = |G|/|B|.  The search ends once
+    |A| passes the least order that factors.
+    """
     cyclics = G.cyclic_subgroups()
-    ranked = []
-    for A in cyclics:
-        if A.is_normal:
-            ranked.append((A.order, rek_of(G, A)[0], A))
-    ranked.sort(key=lambda t: t[:2])
-    best_key = None
-    pairs: list[tuple[Subgroup, Subgroup]] = []
-    for oa, ra, A in ranked:
-        if best_key is not None and (oa, ra) > best_key[:2]:
+    g = math.gcd(G.t - 1, G.m)
+    found = []
+    for A in (A for A in cyclics if g % A.triple[0] == 0):
+        if found and A.order > found[0][0][0]:
             break
-        n = order // oa
-        for B in cyclics:
-            # A is normal, so G = AB iff B maps onto the cyclic G/A.
-            if B.order % n or not G.generates_quotient(B.generator, A, n):
-                continue
-            key = (oa, ra, order // B.order)
-            if best_key is None or key < best_key:
-                best_key, pairs = key, [(A, B)]
-            elif key == best_key:
-                pairs.append((A, B))
-    if best_key is None:
+        n = G.order // A.order
+        B = next((B for B in reversed(cyclics) if B.order % n == 0
+                  and G.generates_quotient(B.generator, A, n)), None)
+        if B is not None:
+            T = t_subgroup(G, A)
+            found.append(((A.order, derive_rek(A.order, T)[0], G.order // B.order), T))
+    if not found:
         raise InvariantError(f"{G!r} has no metacyclic factorization")
-    return best_key, tuple(pairs)
+    best = min(key for key, _ in found)
+    return best, tuple(T for key, T in found if key == best)
 
 
 def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -230,15 +224,15 @@ def _derived_part(G: MetacyclicGroup, primes) -> Subgroup:
 def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     """Classifying tuple of G together with the derived quantities.
 
-    All minimizing factorizations must produce the same delta; checked
-    rather than trusted.  delta depends on A alone, so the action is
-    computed once per distinct factor A.
+    m and s come from a minimal factorization G = AB (see
+    `_minimal_factors`); delta depends on A alone, and every minimizing
+    factor A must produce the same delta, which is checked rather than
+    trusted.
     """
-    (m, _, s), pairs = _minimal_pairs(G)
+    (m, _, s), actions = _minimal_factors(G)
     n = G.order // m
     seen = set()
-    for A in dict.fromkeys(A for A, _ in pairs):
-        T = t_subgroup(G, A)
+    for T in actions:
         r, eps, k = derive_rek(m, T)
         mp = m_prime_of(m, n, s, r, eps, k)
         seen.add((restrict(T, mp), r, eps, k, mp))

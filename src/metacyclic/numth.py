@@ -69,12 +69,15 @@ def p_part(n: int, p: int) -> int:
 
 
 def part(n: int, primes) -> int:
-    """Largest divisor of n supported on the given prime set."""
+    """Largest divisor of n supported on the given prime set.  Only the
+    given primes are divided out, so n itself is never factored."""
+    if n < 1:
+        raise ValueError("n must be positive")
     out = 1
-    ps = set(primes)
-    for p, e in prime_factors(n):
-        if p in ps:
-            out *= p**e
+    for p in set(primes):
+        while n % p == 0:
+            n //= p
+            out *= p
     return out
 
 

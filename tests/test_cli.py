@@ -314,3 +314,16 @@ def test_console_entry_point_runs() -> None:
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,n,s,m_prime,delta_gen"
+
+
+def test_construct_rejects_a_huge_s_without_factoring_it() -> None:
+    """Clause (a) of `validate_tuple` reads s only at the primes of m
+    outside r, so a prime s near 10^18 is rejected at once rather than
+    trial-factored; a run that does not finish fails on the timeout."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from metacyclic.cli import main; "
+         "sys.exit(main(['construct', '4', '2', '1000000000000000003', '4', '3']))"],
+        capture_output=True, text=True, timeout=15)
+    assert proc.returncode == 1
+    assert "(a) s does not divide m; (c) m_2 exceeds 2 s_2" in proc.stderr

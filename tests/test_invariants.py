@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from metacyclic import invariants
+from metacyclic.cli import consistent_presentations
 from metacyclic.group import InvariantError, MetacyclicGroup
 from metacyclic.invariants import (
     MCInv,
@@ -12,7 +13,6 @@ from metacyclic.invariants import (
     m_prime_of,
     mcinv,
     pi_sets,
-    rek_of,
     sylow_mcinv_consistency,
     sylow_presentation,
     t_subgroup,
@@ -58,12 +58,6 @@ def test_derive_rek_spot_values() -> None:
     assert derive_rek(9, trivial_subgroup(9)) == (9, 1, 1)
 
 
-def test_rek_of_agrees_with_subgroup_action() -> None:
-    G = MetacyclicGroup(12, 2, 6, 5)
-    A = G.cyclic_subgroup(G.gen_a)
-    assert rek_of(G, A) == derive_rek(12, t_subgroup(G, A))
-
-
 def test_t_subgroup_requires_normal_cyclic() -> None:
     G = MetacyclicGroup(4, 2, 0, 3)  # D8
     refl = G.cyclic_subgroup(G.gen_b)
@@ -73,20 +67,72 @@ def test_t_subgroup_requires_normal_cyclic() -> None:
 
 def test_minimal_factorization_shapes() -> None:
     # m = |A| for a minimal factorization G = AB: S3 = C3 C2, and the
-    # modular group of order 16 admits a smaller kernel than <a>
+    # modular group of order 16 admits a smaller kernel than <a>.  Each
+    # action returned is that of a cyclic A of order m containing G',
+    # with a cyclic B of index s such that A and B generate G.
     for G, m in ((MetacyclicGroup(3, 2, 0, 2), 3), (MetacyclicGroup(8, 2, 0, 5), 4)):
         assert mcinv(G)[0].m == m
-        _, pairs = invariants._minimal_pairs(G)
-        for A, B in pairs:
-            assert A.order == m and A.is_normal and A.is_cyclic and B.is_cyclic
-            assert G.generated(A.gens + B.gens).order == G.order
+        (m_min, _, s), actions = invariants._minimal_factors(G)
+        assert m_min == m and actions
+        derived = G.derived_subgroup()
+        factors = [A for A in G.cyclic_subgroups()
+                   if A.order == m and all(x in A for x in derived)]
+        cofactors = [B for B in G.cyclic_subgroups() if B.order * s == G.order]
+        for T in actions:
+            assert any(t_subgroup(G, A) == T
+                       and any(G.generated(A.gens + B.gens).order == G.order
+                               for B in cofactors)
+                       for A in factors)
+
+
+def _minimal_pairs(G: MetacyclicGroup):
+    """((m, r, s), pairs) over all factorizations achieving the minimum:
+    every normal cyclic A ranked by (|A|, r), against every cyclic B.
+    The search `_minimal_factors` replaced, kept as its oracle."""
+    order = G.order
+    cyclics = G.cyclic_subgroups()
+    ranked = []
+    for A in cyclics:
+        if A.is_normal:
+            ranked.append((A.order, derive_rek(A.order, t_subgroup(G, A))[0], A))
+    ranked.sort(key=lambda t: t[:2])
+    best_key = None
+    pairs = []
+    for oa, ra, A in ranked:
+        if best_key is not None and (oa, ra) > best_key[:2]:
+            break
+        n = order // oa
+        for B in cyclics:
+            # A is normal, so G = AB iff B maps onto the cyclic G/A.
+            if B.order % n or not G.generates_quotient(B.generator, A, n):
+                continue
+            key = (oa, ra, order // B.order)
+            if best_key is None or key < best_key:
+                best_key, pairs = key, [(A, B)]
+            elif key == best_key:
+                pairs.append((A, B))
+    return best_key, pairs
+
+
+def test_minimal_factors_against_the_pair_search() -> None:
+    """Same key, and the same actions in the same order: those of the
+    distinct factors A of the minimizing pairs, for every class up to
+    order 256 and every consistent presentation up to order 64."""
+    checked = 0
+    groups = [construct_group(inv) for inv in valid_tuples(256)]
+    for G in groups + consistent_presentations(64):
+        key, pairs = _minimal_pairs(G)
+        actions = tuple(t_subgroup(G, A) for A in dict.fromkeys(A for A, _ in pairs))
+        assert invariants._minimal_factors(G) == (key, actions), G
+        checked += 1
+    assert checked == 5151
 
 
 def test_factorization_test_matches_the_coset_order_scan() -> None:
     """For a normal cyclic A of index n, G = AB iff the generator of B has
-    coset order n mod A.  `_minimal_pairs` asks instead that no x^(n/q)
-    lies in A for a prime q | n; the two agree on every pair (A, B) it
-    tests, for every class up to order 128."""
+    coset order n mod A.  `_minimal_factors` asks instead that no x^(n/q)
+    lies in A for a prime q | n; the two agree on every such pair (A, B),
+    for every class up to order 128."""
     checked = 0
     for inv in valid_tuples(128):
         G = construct_group(inv)
@@ -105,9 +151,9 @@ def test_factorization_test_matches_the_coset_order_scan() -> None:
 
 
 def test_mcinv_raises_when_minimal_factors_disagree(monkeypatch) -> None:
-    """delta is computed once per distinct minimizing factor A (C3 x C3
-    has four, each in three minimizing pairs), and a second A whose
-    delta differs still raises."""
+    """delta is computed once per minimizing factor A (C3 x C3 has four,
+    each with three cyclic B of index 3), and a second A whose delta
+    differs still raises."""
     G = MetacyclicGroup(3, 3, 0, 1)
     calls = []
 

@@ -51,6 +51,15 @@ def test_valuation_parts() -> None:
     assert p_part(720, 2) == 16
     assert p_part(720, 7) == 1
     assert part(720, (2, 3)) == 144
+    assert part(720, ()) == 1
+    # only the given primes are divided out, so a large prime cofactor
+    # is never trial-factored
+    assert part(8 * 1000000000000000003, {2, 3}) == 8
+    with pytest.raises(ValueError):
+        part(0, (2,))
+    for n in range(1, 200):
+        for ps in ((2,), (3, 5), (2, 3, 7)):
+            assert part(n, ps) == math.prod(p ** e for p, e in prime_factors(n) if p in ps)
 
 
 def test_phi_and_mult_order_against_brute_force() -> None:
