@@ -178,17 +178,38 @@ class MetacyclicGroup:
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        """The cyclic members of `subgroups()`, in its order."""
-        return tuple(S for S in self.subgroups() if S.is_cyclic)
+        """The cyclic subgroups, in the order of `subgroups()`."""
+        return self._lattice(cyclic=True)
 
     def subgroups(self) -> tuple["Subgroup", ...]:
-        """All subgroups, one per canonical triple, sorted by order and
-        then by triple."""
-        subs = [Subgroup(self, c, e, f)
-                for c in divisors(self.m) for f in divisors(self.n)
-                for e in range(c)
-                if self.power((e, f % self.n), self.n // f)[0] % c == 0]
-        return tuple(sorted(subs, key=lambda S: (S.order, S.triple)))
+        """All subgroups, one per canonical triple, by (order, triple)."""
+        return self._lattice(cyclic=False)
+
+    def _lattice(self, cyclic: bool) -> tuple["Subgroup", ...]:
+        """The canonical triples (c, e, f), solved for e per (c, f): with
+        x = a^e b^f, N = n/f, S = sum of t^(f l) over l < N and s0 = s for
+        f < n, 0 for f = n, x^N = a^(e S + s0), so (c, e, f) is canonical
+        iff e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless
+        d | s0, and then the e < c are e0 + k c/d, e0 solving it mod c/d.
+        The cyclic listing applies the tests of `Subgroup.generator`: it
+        skips a (c, f) block unless t^f = 1 mod M = m/c, and keeps e iff
+        gcd(M, N, i/c) = 1 for x^N = a^i."""
+        m, n, triples = self.m, self.n, []
+        for f in divisors(n):
+            N = n // f
+            s0 = self.power((0, f % n), N)[0]
+            S = self.power((1, f % n), N)[0] - s0
+            for c in divisors(m):
+                M = m // c
+                d = math.gcd(S, c)
+                if s0 % d or (cyclic and pow(self.t, f, M) != 1 % M):
+                    continue
+                step = c // d
+                e0 = -s0 // d * pow(S // d, -1, step) % step
+                triples.extend((c, e, f) for e in range(e0, c, step)
+                               if not cyclic or math.gcd(M, N, (e * S + s0) % m // c) == 1)
+        triples.sort(key=lambda tr: (m // tr[0] * (n // tr[2]), tr))
+        return tuple(Subgroup(self, *tr) for tr in triples)
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""

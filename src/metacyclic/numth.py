@@ -53,9 +53,9 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def vp(n: int, p: int) -> int:
-    """Exponent of the prime p in n (n != 0)."""
-    if n == 0:
-        raise ValueError("vp(0, p) is undefined")
+    """Exponent of the prime p in n (n != 0, p >= 2)."""
+    if n == 0 or p < 2:
+        raise ValueError(f"vp({n}, {p}) is undefined: need n != 0 and p >= 2")
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -75,6 +75,8 @@ def part(n: int, primes) -> int:
         raise ValueError("n must be positive")
     out = 1
     for p in set(primes):
+        if p < 2:
+            raise ValueError(f"part(n, primes) needs every p >= 2, got {p}")
         while n % p == 0:
             n //= p
             out *= p

@@ -262,18 +262,42 @@ def _walked_cyclic_subgroups(G: MetacyclicGroup) -> dict[tuple[int, int, int], f
 
 
 def test_cyclic_subgroups_against_the_power_walk() -> None:
-    """The cyclic members of subgroups() are the subgroups <x> that a walk
-    over the powers of every element finds, with the same triples, and
-    each `generator` has full order, for every class up to order 128.
-    The sweep stops at 128: up to 256 it takes about 2.1 s instead of
-    0.5 s (2-vCPU host, Python 3.11), and the Tier-1 suite is already
-    over its 60 s budget."""
+    """cyclic_subgroups() lists the subgroups <x> that a walk over the
+    powers of every element finds, with the same triples, and each
+    `generator` has full order, for every class up to order 128.  The
+    sweep stops at 128: up to 256 it takes about 2.1 s instead of 0.5 s
+    (2-vCPU host, Python 3.11), and the Tier-1 suite is already over its
+    60 s budget."""
     for inv in valid_tuples(128):
         G = construct_group(inv)
         walked = _walked_cyclic_subgroups(G)
-        cyc = [S for S in G.subgroups() if S.is_cyclic]
+        cyc = G.cyclic_subgroups()
         assert {S.triple: S.elems for S in cyc} == walked, G
         assert all(G.element_order(S.generator) == S.order for S in cyc), G
+
+
+def _filtered_lattice(G: MetacyclicGroup) -> tuple[Subgroup, ...]:
+    """Every candidate triple (c, e, f) with c | m, f | n and e < c, kept
+    iff (a^e b^f)^(n/f) lies in <a^c>, one `power` call each, sorted by
+    order and then by triple."""
+    subs = [Subgroup(G, c, e, f) for c in divisors(G.m) for f in divisors(G.n)
+            for e in range(c) if G.power((e, f % G.n), G.n // f)[0] % c == 0]
+    return tuple(sorted(subs, key=lambda S: (S.order, S.triple)))
+
+
+def test_lattice_against_the_candidate_filter() -> None:
+    """subgroups() solves one congruence per (c, f) for the canonical e,
+    and cyclic_subgroups() tests cyclicity per (c, f) block and per e
+    without building a non-cyclic Subgroup.  Both equal the filter over
+    every candidate triple, and its cyclic members, on every consistent
+    presentation up to order 64."""
+    checked = 0
+    for G in consistent_presentations(64):
+        filtered = _filtered_lattice(G)
+        assert G.subgroups() == filtered, G
+        assert G.cyclic_subgroups() == tuple(S for S in filtered if S.is_cyclic), G
+        checked += 1
+    assert checked == 3786
 
 
 def test_triples_against_bfs_closures() -> None:

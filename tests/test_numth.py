@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +62,24 @@ def test_valuation_parts() -> None:
     for n in range(1, 200):
         for ps in ((2,), (3, 5), (2, 3, 7)):
             assert part(n, ps) == math.prod(p ** e for p, e in prime_factors(n) if p in ps)
+
+
+def test_valuation_parts_reject_p_below_two() -> None:
+    """vp and part raise ValueError for p < 2 instead of dividing by p = 1
+    forever or by p = 0.  Run in a subprocess, so a loop that does not
+    end fails on the timeout instead of hanging the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from metacyclic.numth import part, vp\n"
+         "for call in (lambda: vp(8, 1), lambda: vp(8, 0), lambda: vp(8, -2),\n"
+         "             lambda: part(8, (1,)), lambda: part(8, (2, 0))):\n"
+         "    try:\n"
+         "        call()\n"
+         "    except ValueError:\n"
+         "        print('ValueError')\n"],
+        capture_output=True, text=True, timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 5
 
 
 def test_phi_and_mult_order_against_brute_force() -> None:

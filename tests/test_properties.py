@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from metacyclic.cli import MAX_ORDER_LIMIT
-from metacyclic.group import MetacyclicGroup
+from metacyclic.group import MetacyclicGroup, Subgroup
 from metacyclic.invariants import construct_group, mcinv, valid_tuples, validate_tuple
 from metacyclic.numth import divisors, geom_sum, units
 
@@ -94,3 +94,17 @@ def test_power_matches_repeated_multiplication(G, data) -> None:
     period = len(by_mul)
     assert [G.power(x, k) for k in range(-2 * period, 2 * period + 1)] \
         == by_mul * 4 + by_mul[:1]
+
+
+@PROFILE
+@given(presentations())
+def test_lattice_matches_the_candidate_filter(G) -> None:
+    """subgroups() and cyclic_subgroups() against the filter over every
+    candidate triple (c, e, f), one `power` call each, as in
+    tests/test_group.py::test_lattice_against_the_candidate_filter but
+    beyond its exhaustive bound of order 64."""
+    subs = [Subgroup(G, c, e, f) for c in divisors(G.m) for f in divisors(G.n)
+            for e in range(c) if G.power((e, f % G.n), G.n // f)[0] % c == 0]
+    filtered = tuple(sorted(subs, key=lambda S: (S.order, S.triple)))
+    assert G.subgroups() == filtered
+    assert G.cyclic_subgroups() == tuple(S for S in filtered if S.is_cyclic)
