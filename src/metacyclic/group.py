@@ -130,23 +130,15 @@ class MetacyclicGroup:
         """The component of x of order supported on the given primes."""
         return self.power(x, crt_exponent(self.element_order(x), primes))
 
-    def dlog(self, g: El, target: El, K: "Subgroup | None" = None) -> int:
-        """Least e >= 0 with target in K g^e (target = g^e when K is None)."""
-        members = K if K is not None else (self.identity,)
-        g_inv = self.inv(g)
+    def dlog(self, g: El, target: El) -> int:
+        """Least e >= 0 with target = g^e."""
+        g_inv, one = self.inv(g), self.identity
         y = target
         for e in range(self.element_order(g)):
-            if y in members:
+            if y == one:
                 return e
             y = self.mul(y, g_inv)
-        raise ValueError("target does not lie in K<g>")
-
-    def coset_order(self, x: El, K: "Subgroup") -> int:
-        """Least k >= 1 with x^k in K; always a divisor of the order of x."""
-        for d in divisors(self.element_order(x)):
-            if self.power(x, d) in K:
-                return d
-        raise InvariantError(f"x^|x| = 1 does not lie in {K!r}")
+        raise ValueError("target does not lie in <g>")
 
     def generates_quotient(self, x: El, K: "Subgroup", idx: int) -> bool:
         """Whether xK has order idx, for x in a group H of index idx over
@@ -185,31 +177,41 @@ class MetacyclicGroup:
         """All subgroups, one per canonical triple, by (order, triple)."""
         return self._lattice(cyclic=False)
 
-    def _lattice(self, cyclic: bool) -> tuple["Subgroup", ...]:
-        """The canonical triples (c, e, f), solved for e per (c, f): with
-        x = a^e b^f, N = n/f, S = sum of t^(f l) over l < N and s0 = s for
-        f < n, 0 for f = n, x^N = a^(e S + s0), so (c, e, f) is canonical
-        iff e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless
-        d | s0, and then the e < c are e0 + k c/d, e0 solving it mod c/d.
-        The cyclic listing applies the tests of `Subgroup.generator`: it
-        skips a (c, f) block unless t^f = 1 mod M = m/c, and keeps e iff
-        gcd(M, N, i/c) = 1 for x^N = a^i."""
-        m, n, triples = self.m, self.n, []
+    def _canonical_blocks(self):
+        """(c, f, S, s0, es) for each f | n and c | m with a canonical
+        triple (c, e, f), es the range of its e.  With x = a^e b^f,
+        N = n/f, S = sum of t^(f l) over l < N and s0 = s for f < n, 0 for
+        f = n, x^N = a^(e S + s0), so (c, e, f) is canonical iff
+        e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless d | s0,
+        and then the e < c are e0 + k c/d, e0 solving it mod c/d; two
+        `power` calls per f give S and s0."""
+        m, n = self.m, self.n
         for f in divisors(n):
             N = n // f
             s0 = self.power((0, f % n), N)[0]
             S = self.power((1, f % n), N)[0] - s0
             for c in divisors(m):
-                M = m // c
                 d = math.gcd(S, c)
-                if s0 % d or (cyclic and pow(self.t, f, M) != 1 % M):
-                    continue
-                step = c // d
-                e0 = -s0 // d * pow(S // d, -1, step) % step
-                triples.extend((c, e, f) for e in range(e0, c, step)
-                               if not cyclic or math.gcd(M, N, (e * S + s0) % m // c) == 1)
-        triples.sort(key=lambda tr: (m // tr[0] * (n // tr[2]), tr))
-        return tuple(Subgroup(self, *tr) for tr in triples)
+                if s0 % d == 0:
+                    step = c // d
+                    e0 = -s0 // d * pow(S // d, -1, step) % step
+                    yield c, f, S, s0, range(e0, c, step)
+
+    def _lattice(self, cyclic: bool) -> tuple["Subgroup", ...]:
+        """The canonical triples of `_canonical_blocks`, sorted by (order,
+        triple).  The cyclic listing applies the tests of
+        `Subgroup.generator`: it skips a (c, f) block unless t^f = 1 mod
+        M = m/c, and keeps e iff gcd(M, N, i/c) = 1 for x^N = a^i."""
+        m, n, t, rows = self.m, self.n, self.t, []
+        for c, f, S, s0, es in self._canonical_blocks():
+            M, N = m // c, n // f
+            if not cyclic:
+                rows.extend((M * N, c, e, f) for e in es)
+            elif pow(t, f, M) == 1 % M:
+                rows.extend((M * N, c, e, f) for e in es
+                            if math.gcd(M, N, (e * S + s0) % m // c) == 1)
+        rows.sort()
+        return tuple(Subgroup(self, c, e, f) for _, c, e, f in rows)
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""

@@ -168,59 +168,68 @@ def roots_of_unity_order(F: FixedField) -> int:
 # strong Shoda pairs
 
 
-def _qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:
-    """The partner L making (L, K) a strong Shoda pair, if any.
+def _cyclic_quotient(G: MetacyclicGroup, c: int, e: int, f: int, e0: int) -> bool:
+    """Whether L/K is cyclic for K = <a^c, a^e b^f> inside L = <a, b^e0>,
+    e0 the order of t mod c.  L/<a^c> is abelian on a and b^e0, so L/K is
+    Z^2 modulo the rows (c, 0), (-s, n0) and (e, f'), with n0 = n/e0 and
+    f' = (f mod n)/e0; it is cyclic iff the first invariant factor, the
+    gcd of the entries, is 1."""
+    return math.gcd(c, G.s, G.n // e0, e, f % G.n // e0) == 1
 
-    L must contain A = <a, b^j0>, so L = <a, b^d> with d | j0; the derived
-    subgroup condition forces e0 | d, e0 the order of t mod c for
-    K = <a^c, a^e b^f>, and maximality forces d = e0.  K lies in L iff
-    e0 | f, and L/K (abelian, generated by the cosets of a and b^e0) is
-    cyclic iff the lcm of their coset orders is the full index |L| / |K|,
-    with |L| = m n / gcd(e0, n).
-    """
-    c, _, f = K.triple
-    e0 = mult_order(G.t, c)
-    if f % e0:
-        return None
-    o2 = G.coset_order(G.power(G.gen_b, e0), K)
-    if lcm(c, o2) != G.order // math.gcd(e0, G.n) // K.order:
-        return None
-    return G.l_subgroup(e0)
+
+def _class_of(G: MetacyclicGroup, c: int, e: int) -> list[int]:
+    """The e' of the conjugates <a^c, a^e' b^f> of K = <a^c, a^e b^f>
+    when t^f = 1 mod c: then conjugation by a fixes e and conjugation by
+    b sends it to e t^-1 mod c, so the class is {e t^-j mod c}, and its
+    size f_N is the least divisor of n with c | e (t^f_N - 1), making
+    N_G(K) = <a, b^f_N>."""
+    t_inv = pow(G.t, -1, c)
+    orbit, x = [e], e * t_inv % c
+    while x != e:
+        orbit.append(x)
+        x = x * t_inv % c
+    return orbit
 
 
 def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
     """One strong Shoda pair (L, K) per conjugacy class of K.
 
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
-    of t mod m (the largest abelian <a, b^j>, j | n).  Conjugate
-    candidates qualify or fail together, with the same L, so the walk
-    over `subgroups()` tests each class once, at its first member, and
-    returns the member of the class with the least element list: the
-    conjugate that the twist y of `component_of` refers to.  Conjugates
-    share c and f, and the sorted element list of <a^c, a^e b^f> repeats,
-    for each i mod c, the row of its first n/f elements, those with i < c;
-    so comparing those n/f elements orders the conjugates exactly.
-    Normality of K in L is checked outright (it follows from L' <= K);
-    cyclicity is checked during the search, and the remaining strong-pair
-    axioms hold by the classification of metabelian group algebras, with
-    :func:`idempotent_check` available as an independent verifier at
-    small orders.
+    of t mod m.  L contains A, so L = <a, b^d> with d | j0; L' <= K
+    forces e0 | d, e0 the order of t mod c for K = <a^c, a^e b^f>, and
+    maximality forces d = e0.  So each block (c, f) of canonical triples
+    is read at once: K lies in L iff e0 | f, L/K is cyclic by
+    `_cyclic_quotient`, and the class of K is `_class_of`.  The pairs
+    come in the (order, triple) order of each class's least-e member,
+    with K the member of least element list, the conjugate that the
+    twist y of `component_of` refers to; the first n/f elements (those
+    with i < c) order the conjugates, since the sorted list repeats them
+    for each i mod c.  Normality of K in L is checked outright; the other
+    strong-pair axioms hold by the classification of metabelian group
+    algebras, and :func:`idempotent_check` verifies them at small orders.
     """
-    seen: set[Subgroup] = set()
-    pairs = []
-    for K in G.subgroups():
-        if K in seen:
+    classes = []
+    for c, f, _, _, es in G._canonical_blocks():
+        e0 = mult_order(G.t, c)
+        if f % e0:
             continue
-        L = _qualifies(G, K)
-        if L is None:
-            continue
-        if not all(K.normalized_by(g) for g in L.gens):
-            raise InvariantError(f"{K!r} is not normal in {L!r} in {G!r}")
-        conjugates = G.conjugates(K)
-        seen |= conjugates
-        head = G.n // K.triple[2]
-        pairs.append((L, min(conjugates, key=lambda C: tuple(islice(C, head)))))
-    return tuple(pairs)
+        L = G.l_subgroup(e0)
+        head = G.n // f
+        seen: set[int] = set()
+        for e in es:
+            if e in seen or not _cyclic_quotient(G, c, e, f, e0):
+                continue
+            K = Subgroup(G, c, e, f)
+            if not all(K.normalized_by(g) for g in L.gens):
+                raise InvariantError(f"{K!r} is not normal in {L!r} in {G!r}")
+            conjugates = _class_of(G, c, e)
+            seen.update(conjugates)
+            least = K if len(conjugates) == 1 else min(
+                (Subgroup(G, c, x, f) for x in conjugates),
+                key=lambda C: tuple(islice(C, head)))
+            classes.append(((K.order, K.triple), L, least))
+    classes.sort(key=lambda cls: cls[0])
+    return tuple((L, K) for _, L, K in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -365,35 +374,66 @@ class SimpleComponent:
         }
 
 
+def _character(G: MetacyclicGroup, c: int, e: int, f: int, e0: int) -> tuple[int, int]:
+    """(p, q) such that a^i b^(e0 k) -> p i + q k mod [L:K] maps L onto
+    Z/[L:K] with kernel K, for a strong Shoda pair (L, K) as in
+    `_cyclic_quotient`.  Row operations on (-s, n0) and (e, f') bring the
+    relation lattice to the Hermite basis (alpha, 0), (beta, gamma), with
+    gamma = gcd(n0, f') and alpha = gcd(c, (n0 e + f' s)/gamma); then
+    [L:K] = alpha gamma.  p = gamma and q = alpha k - beta kill both rows,
+    and with k the product of the primes dividing gamma but not beta,
+    gcd(q, gamma) = 1 (gcd(alpha, beta, gamma) = 1 as L/K is cyclic), so
+    the map is onto."""
+    n0, fp = G.n // e0, f % G.n // e0
+    gamma = math.gcd(n0, fp)
+    v = pow(fp // gamma, -1, n0 // gamma)
+    beta = v * e - (gamma - v * fp) // n0 * G.s
+    alpha = math.gcd(c, (n0 * e + fp * G.s) // gamma)
+    if alpha * gamma != c * f // e0:
+        raise InvariantError(f"[L:K] = {c * f // e0} is not {alpha} * {gamma}")
+    k = math.prod(r for r, _ in prime_factors(gamma) if beta % r)
+    return gamma, (alpha * k - beta) % (alpha * gamma)
+
+
 def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponent:
     """Descriptor of the simple algebra attached to a strong Shoda pair.
 
-    With N = N_G(K), u a generator of L/K and w a generator of the cyclic
-    N/L: x is the conjugation exponent u^w = u^x mod K, y the twist
+    With N = N_G(K) = <a, b^f_N> (see `_class_of`), u a generator of L/K
+    and w = b^f_N a generator of the cyclic N/L (w = 1 when N = L): x is
+    the conjugation exponent u^w = u^x mod K, y the twist
     w^[N:L] = u^y mod K, and the center is the fixed field of <x> in
-    Q(zeta_[L:K]); u and w are the least elements generating their
-    quotients.  The descriptor is that of the K given: only y depends on
-    which conjugate it is.  N contains a, hence G', so it is normal and
-    the same for every conjugate, and w with it; conjugating K by g
-    transports the action of w to that of g w g^-1, which differs from w
-    by an element of G' <= L acting trivially on the abelian L/K.  So x,
-    the center and the degrees do not depend on the conjugate.
-    `decomposition` passes the conjugate `strong_shoda_pairs` chose.
+    Q(zeta_[L:K]); u is the least element of L generating L/K.  All of
+    these are read through the character chi of `_character`, whose
+    kernel is K: u is the first element with chi(u) a unit,
+    x = chi(w^-1 u w) / chi(u) and y = chi(w^[N:L]) / chi(u).  The
+    descriptor is that of the K given: only y depends on which conjugate
+    it is.  N contains a, hence G', so it is normal and the same for
+    every conjugate, and w with it; conjugating K by g transports the
+    action of w to that of g w g^-1, which differs from w by an element
+    of G' <= L acting trivially on the abelian L/K.  So x, the center and
+    the degrees do not depend on the conjugate.  `decomposition` passes
+    the conjugate `strong_shoda_pairs` chose.
     """
-    if _qualifies(G, K) != L:
+    c, e, f = K.triple
+    e0 = mult_order(G.t, c)
+    if f % e0 or L != G.l_subgroup(e0) or not _cyclic_quotient(G, c, e, f, e0):
         raise ValueError("(L, K) is not a strong Shoda pair of G")
-    N = G.normalizer(K)
     idx = L.order // K.order
-    u = _coset_generator(G, L, K)
-    w = _coset_generator(G, N, L)
+    p, q = _character(G, c, e, f, e0)
 
-    x = G.dlog(u, G.conj(u, w), K)
-    y = G.dlog(u, G.power(w, N.order // L.order), K)
+    def chi(g: El) -> int:
+        return (p * g[0] + q * (g[1] // e0)) % idx
+
+    u = next(g for g in L if math.gcd(chi(g), idx) == 1)
+    matrix_size = len(_class_of(G, c, e))
+    w = (0, matrix_size) if matrix_size < e0 else G.identity
+    inv = pow(chi(u), -1, idx)
+    x = chi(G.conj(u, w)) * inv % idx
+    y = chi(G.power(w, e0 // matrix_size)) * inv % idx
     action = cyclic_subgroup(x, idx)
     if idx > 1 and math.gcd(x, idx) != 1:
         raise InvariantError("conjugation must act by a unit")
 
-    matrix_size = G.order // N.order
     total_degree = G.order // L.order
     if total_degree != matrix_size * action.order:
         raise InvariantError(f"degree {total_degree} is not {matrix_size} "

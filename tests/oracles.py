@@ -1,0 +1,87 @@
+"""Routes that the fast paths of `metacyclic` replaced, kept as test
+oracles: scans over elements and subgroups that follow the definitions.
+The test modules import them from here (pytest puts this directory on
+sys.path); nothing in `src/` calls them."""
+
+from __future__ import annotations
+
+import math
+from itertools import islice
+
+from metacyclic.group import El, MetacyclicGroup, Subgroup
+from metacyclic.numth import cyclic_subgroup, divisors, lcm, mult_order
+from metacyclic.wedderburn import SimpleComponent, _coset_generator, fixed_field
+
+
+def coset_order(G: MetacyclicGroup, x: El, K: Subgroup) -> int:
+    """Least k >= 1 with x^k in K, by a scan of the divisors of |x|."""
+    return next(d for d in divisors(G.element_order(x)) if G.power(x, d) in K)
+
+
+def coset_dlog(G: MetacyclicGroup, g: El, target: El, K: Subgroup) -> int:
+    """Least e >= 0 with target in K g^e, by a walk of up to |g| steps."""
+    g_inv, y = G.inv(g), target
+    for e in range(G.element_order(g)):
+        if y in K:
+            return e
+        y = G.mul(y, g_inv)
+    raise ValueError("target does not lie in K<g>")
+
+
+def qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:
+    """The partner L = <a, b^e0> making (L, K) a strong Shoda pair, if any,
+    with e0 the order of t mod c: K lies in L iff e0 | f, and L/K,
+    generated by the cosets of a and b^e0, is cyclic iff the lcm of their
+    coset orders is the index |L| / |K|, with |L| = m n / gcd(e0, n)."""
+    c, _, f = K.triple
+    e0 = mult_order(G.t, c)
+    if f % e0:
+        return None
+    o2 = coset_order(G, G.power(G.gen_b, e0), K)
+    if lcm(c, o2) != G.order // math.gcd(e0, G.n) // K.order:
+        return None
+    return G.l_subgroup(e0)
+
+
+def walk_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
+    """`strong_shoda_pairs` by a walk of `subgroups()`: the first member
+    of each class for which `qualifies` finds an L, paired with the
+    conjugate whose first n/f elements are least."""
+    seen: set[Subgroup] = set()
+    pairs = []
+    for K in G.subgroups():
+        if K in seen:
+            continue
+        L = qualifies(G, K)
+        if L is None:
+            continue
+        conjugates = G.conjugates(K)
+        seen |= conjugates
+        head = G.n // K.triple[2]
+        pairs.append((L, min(conjugates, key=lambda C: tuple(islice(C, head)))))
+    return tuple(pairs)
+
+
+def scan_component(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponent:
+    """`component_of` by element scans: u and w are the least elements
+    generating L/K and N_G(K)/L, and x and y are walked out of the cosets
+    of K in <u>."""
+    if qualifies(G, K) != L:
+        raise ValueError("(L, K) is not a strong Shoda pair of G")
+    N = G.normalizer(K)
+    idx = L.order // K.order
+    u = _coset_generator(G, L, K)
+    w = _coset_generator(G, N, L)
+    x = coset_dlog(G, u, G.conj(u, w), K)
+    y = coset_dlog(G, u, G.power(w, N.order // L.order), K)
+    total_degree = G.order // L.order
+    center = fixed_field(idx, cyclic_subgroup(x, idx))
+    return SimpleComponent(
+        matrix_size=G.order // N.order,
+        conductor=idx,
+        x=x,
+        y=y,
+        center=center,
+        total_degree=total_degree,
+        q_dimension=total_degree * total_degree * center.degree,
+    )

@@ -21,6 +21,7 @@ from metacyclic.invariants import (
     validate_tuple,
 )
 from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, divisors, trivial_subgroup
+from oracles import coset_order
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -145,7 +146,7 @@ def test_factorization_test_matches_the_coset_order_scan() -> None:
                 if B.order % n == 0:
                     x = B.generator
                     assert G.generates_quotient(x, A, n) == \
-                        (G.coset_order(x, A) == n), (G, A, B)
+                        (coset_order(G, x, A) == n), (G, A, B)
                     checked += 1
     assert checked == 24839
 

@@ -9,7 +9,7 @@ import pytest
 
 from metacyclic import group, wedderburn
 from metacyclic.analysis import formula_NE, formula_NG, section7_witness
-from metacyclic.cli import main
+from metacyclic.cli import consistent_presentations, main
 from metacyclic.group import InvariantError, MetacyclicGroup, Subgroup
 from metacyclic.invariants import construct_group, mcinv, valid_tuples
 from metacyclic.wedderburn import (
@@ -20,6 +20,7 @@ from metacyclic.wedderburn import (
     canonical_conductor,
     commutative_conductors,
     compare_algebras,
+    component_of,
     cyclotomic_field,
     decomposition,
     fingerprint,
@@ -34,6 +35,7 @@ from metacyclic.wedderburn import (
     strong_shoda_pairs,
 )
 from metacyclic.numth import cyclic_subgroup, from_generators, lcm, units
+from oracles import coset_order, qualifies, scan_component, walk_pairs
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -149,7 +151,7 @@ def test_coset_generators_match_the_coset_order_scan() -> None:
 
     def by_coset_order(G, H, K):
         idx = H.order // K.order
-        return next(x for x in H if G.coset_order(x, K) == idx)
+        return next(x for x in H if coset_order(G, x, K) == idx)
 
     checked = 0
     for inv in valid_tuples(128):
@@ -178,8 +180,43 @@ def test_strong_shoda_pairs_return_the_least_conjugate_of_each_class() -> None:
             covered |= orbit
             count += 1
         assert covered == {S for S in G.subgroups()
-                           if wedderburn._qualifies(G, S) is not None}, G
+                           if qualifies(G, S) is not None}, G
     assert count == 5351
+
+
+def test_pairs_and_components_against_the_lattice_walk() -> None:
+    """strong_shoda_pairs and component_of, which read the classes and the
+    components off (c, e, f), against the walk of `subgroups()` with its
+    coset-order test and the element scans and coset walks of the old
+    component route, on every consistent presentation up to order 64 and
+    every class up to order 256: the same pairs in the same order, and
+    equal components."""
+    checked = pairs = 0
+    groups = consistent_presentations(64) + [construct_group(inv)
+                                             for inv in valid_tuples(256)]
+    for G in groups:
+        want = walk_pairs(G)
+        assert strong_shoda_pairs(G) == want, G
+        for L, K in want:
+            assert component_of(G, L, K) == scan_component(G, L, K), (G, L, K)
+        checked += 1
+        pairs += len(want)
+    assert (checked, pairs) == (3786 + 1365, 40528)
+
+
+def test_component_of_rejects_what_is_not_a_pair() -> None:
+    L, K = S3.l_subgroup(2), Subgroup(S3, 3, 0, 2)
+    assert (L, K) in strong_shoda_pairs(S3)
+    # a wrong L: G instead of <a>
+    with pytest.raises(ValueError, match="not a strong Shoda pair"):
+        component_of(S3, S3.l_subgroup(1), K)
+    # K = <b> does not lie in L = <a>
+    with pytest.raises(ValueError, match="not a strong Shoda pair"):
+        component_of(S3, L, Subgroup(S3, 3, 0, 1))
+    # C2 x C2 over the trivial subgroup is not cyclic
+    V4 = MetacyclicGroup(2, 2, 0, 1)
+    with pytest.raises(ValueError, match="not a strong Shoda pair"):
+        component_of(V4, V4.l_subgroup(1), Subgroup(V4, 2, 0, 2))
 
 
 def test_decomposition_s3() -> None:
@@ -326,10 +363,9 @@ def test_pair_and_component_checks_raise_invariant_error(monkeypatch) -> None:
     G = MetacyclicGroup(24, 2, 6, 5)
     assert all(e["status"] == "pass" for e in section7_witness(G, 2))
 
-    real_qualifies = wedderburn._qualifies
-    monkeypatch.setattr(wedderburn, "_qualifies", lambda H, K: (
-        None if real_qualifies(H, K) is None else H.l_subgroup(1)))
-    # This group has a non-normal K among its pairs, so L = G fails.
+    # With t read as acting trivially mod every c, each L is G; this group
+    # has a non-normal K = <a^e b> with cyclic G/K, so L = G fails.
+    monkeypatch.setattr(wedderburn, "mult_order", lambda x, n: 1)
     with pytest.raises(InvariantError, match="not normal"):
         strong_shoda_pairs(MetacyclicGroup(3, 6, 0, 2))
     monkeypatch.undo()
