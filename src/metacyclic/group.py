@@ -131,14 +131,23 @@ class MetacyclicGroup:
         return self.power(x, crt_exponent(self.element_order(x), primes))
 
     def dlog(self, g: El, target: El) -> int:
-        """Least e >= 0 with target = g^e."""
-        g_inv, one = self.inv(g), self.identity
-        y = target
-        for e in range(self.element_order(g)):
-            if y == one:
-                return e
-            y = self.mul(y, g_inv)
-        raise ValueError("target does not lie in <g>")
+        """Least e >= 0 with target = g^e.  For g = a^i b^j and h =
+        gcd(j, n), g^e has b-exponent j e mod n, so the b-exponent of the
+        target fixes e = k0 mod n/h.  The rest, g^-k0 target, must then lie
+        in <z> for z = g^(n/h) = a^u, which solves l u = i' mod m, l taken
+        mod m / gcd(u, m); e = k0 + l n/h is the least exponent."""
+        m, n = self.m, self.n
+        h = math.gcd(g[1], n)
+        step = n // h
+        if target[1] % h:
+            raise ValueError("target does not lie in <g>")
+        k0 = target[1] // h * pow(g[1] // h, -1, step) % step
+        rest = self.mul(self.inv(self.power(g, k0)), target)[0]
+        u = self.power(g, step)[0]
+        d = math.gcd(u, m)
+        if rest % d:
+            raise ValueError("target does not lie in <g>")
+        return k0 + rest // d * pow(u // d, -1, m // d) % (m // d) * step
 
     def generates_quotient(self, x: El, K: "Subgroup", idx: int) -> bool:
         """Whether xK has order idx, for x in a group H of index idx over
@@ -177,33 +186,34 @@ class MetacyclicGroup:
         """All subgroups, one per canonical triple, by (order, triple)."""
         return self._lattice(cyclic=False)
 
-    def _canonical_blocks(self):
-        """(c, f, S, s0, es) for each f | n and c | m with a canonical
-        triple (c, e, f), es the range of its e.  With x = a^e b^f,
-        N = n/f, S = sum of t^(f l) over l < N and s0 = s for f < n, 0 for
-        f = n, x^N = a^(e S + s0), so (c, e, f) is canonical iff
-        e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless d | s0,
-        and then the e < c are e0 + k c/d, e0 solving it mod c/d; two
-        `power` calls per f give S and s0."""
+    def _canonical_blocks(self, over: int = 0):
+        """(c, f, S, s0, es) for each f | n and c | gcd(m, over) with a
+        canonical triple (c, e, f), es the range of its e.  c | over says
+        that the subgroups contain a^over; over = 0 keeps every c.  With
+        x = a^e b^f, N = n/f, S = sum of t^(f l) over l < N and s0 = s for
+        f < n, 0 for f = n, x^N = a^(e S + s0), so (c, e, f) is canonical
+        iff e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless
+        d | s0, and then the e < c are e0 + k c/d, e0 solving it mod c/d;
+        two `power` calls per f give S and s0."""
         m, n = self.m, self.n
         for f in divisors(n):
             N = n // f
             s0 = self.power((0, f % n), N)[0]
             S = self.power((1, f % n), N)[0] - s0
-            for c in divisors(m):
+            for c in divisors(math.gcd(m, over)):
                 d = math.gcd(S, c)
                 if s0 % d == 0:
                     step = c // d
                     e0 = -s0 // d * pow(S // d, -1, step) % step
                     yield c, f, S, s0, range(e0, c, step)
 
-    def _lattice(self, cyclic: bool) -> tuple["Subgroup", ...]:
-        """The canonical triples of `_canonical_blocks`, sorted by (order,
-        triple).  The cyclic listing applies the tests of
+    def _lattice(self, cyclic: bool, over: int = 0) -> tuple["Subgroup", ...]:
+        """The canonical triples of `_canonical_blocks(over)`, sorted by
+        (order, triple).  The cyclic listing applies the tests of
         `Subgroup.generator`: it skips a (c, f) block unless t^f = 1 mod
         M = m/c, and keeps e iff gcd(M, N, i/c) = 1 for x^N = a^i."""
         m, n, t, rows = self.m, self.n, self.t, []
-        for c, f, S, s0, es in self._canonical_blocks():
+        for c, f, S, s0, es in self._canonical_blocks(over):
             M, N = m // c, n // f
             if not cyclic:
                 rows.extend((M * N, c, e, f) for e in es)

@@ -153,27 +153,56 @@ def derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
 def m_prime_of(m: int, n: int, s: int, r: int, eps: int, k: int) -> int:
     """Canonical modulus m' | m on which the action invariant is recorded.
 
-    The part of m away from the primes of r survives whole.  At a prime
-    p of r the exponent is cut to min(m_p, k_p r_p, max(r_p, s_p,
-    r_p s_p k_p / n_p)), except that for eps = -1 the 2-part collapses to
-    one of r_2, m_2/2 or m_2.
+    The part of m away from the primes of r survives whole; at a prime p
+    of r the p-part is `_m_prime_at`.
     """
     out = part(m, primes_of(m) - primes_of(r))
     for p in sorted(primes_of(r)):
-        a_m, a_r, a_s = vp(m, p), vp(r, p), vp(s, p)
-        a_n, a_k = vp(n, p), vp(k, p)
-        if p != 2 or eps == 1:
-            out *= p ** min(a_m, a_k + a_r, max(a_r, a_s, a_r + a_s + a_k - a_n))
-        else:
-            m2, r2, s2, n2, k2 = 2 ** a_m, 2 ** a_r, 2 ** a_s, 2 ** a_n, 2 ** a_k
-            if k2 <= 2 or m2 <= 2 * r2:
-                out *= r2
-            elif 4 <= k2 < n2 and 4 * r2 <= m2 and (
-                    s2 == n2 * r2 or (2 * s2 == m2 and m2 < n2 * r2)):
-                out *= m2 // 2
-            else:
-                out *= m2
+        out *= _m_prime_at(p, *_local_parts(p, m, r, s, n, k), eps)
     return out
+
+
+def _local_parts(p: int, m: int, r: int, s: int, n: int, k: int) -> tuple[int, ...]:
+    """(m_p, r_p, s_p, n_p, k_p), the p-parts the per-prime clauses read."""
+    return p_part(m, p), p_part(r, p), p_part(s, p), p_part(n, p), p_part(k, p)
+
+
+def _m_prime_at(p: int, m_p: int, r_p: int, s_p: int, n_p: int, k_p: int,
+                eps: int) -> int:
+    """The p-part of m' at a prime p of r: min(m_p, k_p r_p, max(r_p, s_p,
+    r_p s_p k_p / n_p)), except that for eps = -1 the 2-part collapses to
+    one of r_2, m_2/2 or m_2.  A quotient r_p s_p k_p / n_p below 1 floors
+    to 0 and never wins the max."""
+    if p != 2 or eps == 1:
+        return min(m_p, k_p * r_p, max(r_p, s_p, r_p * s_p * k_p // n_p))
+    if k_p <= 2 or m_p <= 2 * r_p:
+        return r_p
+    if 4 <= k_p < n_p and 4 * r_p <= m_p and (
+            s_p == n_p * r_p or (2 * s_p == m_p and m_p < n_p * r_p)):
+        return m_p // 2
+    return m_p
+
+
+def _local_reasons(p: int, m_p: int, r_p: int, s_p: int, n_p: int, k_p: int,
+                   eps: int) -> list[str]:
+    """The failed clauses of `validate_tuple` at a prime p of r: clause (c)
+    at p = 2 when eps = -1, clause (d) at every other prime of r."""
+    reasons = []
+    if p == 2 and eps == -1:
+        if m_p // r_p > n_p:
+            reasons.append("(c) m_2 / r_2 exceeds n_2")
+        if m_p > 2 * s_p:
+            reasons.append("(c) m_2 exceeds 2 s_2")
+        if s_p == n_p * r_p:
+            reasons.append("(c) s_2 equals n_2 r_2")
+        if n_p >= 4 and m_p >= 8 and k_p < n_p and r_p > s_p:
+            reasons.append("(c) r_2 exceeds s_2 although 4 | n, 8 | m and k_2 < n_2")
+        return reasons
+    if m_p // r_p > s_p or s_p > n_p:
+        reasons.append(f"(d) s_{p} outside the range [m_{p}/r_{p}, n_{p}]")
+    if r_p > s_p and n_p >= s_p * k_p:
+        reasons.append(f"(d) r_{p} > s_{p} but n_{p} >= s_{p} k_{p}")
+    return reasons
 
 
 # -- minimal factorization and the classifying tuple ------------------------
@@ -185,26 +214,53 @@ def _minimal_factors(G: MetacyclicGroup):
 
     G/A = B/(A meet B) is cyclic, so A contains G' = <a^g> with
     g = gcd(t - 1, m), and every subgroup containing G' is normal: only
-    the A = <a^c, a^e b^f> with c | g are tried.  For each, the largest
-    cyclic B mapping onto G/A gives s = |G|/|B|.  The search ends once
-    |A| passes the least order that factors.
+    the cyclic A = <a^c, a^e b^f> with c | g are tried, in (order,
+    triple) order, and the search ends once |A| passes the least order
+    that factors.  For each, `_cofactor_index` gives [G:B] for the
+    largest cyclic B mapping onto G/A, or None when G/A is not cyclic.
     """
-    cyclics = G.cyclic_subgroups()
     g = math.gcd(G.t - 1, G.m)
     found = []
-    for A in (A for A in cyclics if g % A.triple[0] == 0):
+    for A in G._lattice(cyclic=True, over=g):
         if found and A.order > found[0][0][0]:
             break
-        n = G.order // A.order
-        B = next((B for B in reversed(cyclics) if B.order % n == 0
-                  and G.generates_quotient(B.generator, A, n)), None)
-        if B is not None:
+        s = _cofactor_index(G, A)
+        if s is not None:
             T = t_subgroup(G, A)
-            found.append(((A.order, derive_rek(A.order, T)[0], G.order // B.order), T))
+            found.append(((A.order, derive_rek(A.order, T)[0], s), T))
     if not found:
         raise InvariantError(f"{G!r} has no metacyclic factorization")
     best = min(key for key, _ in found)
     return best, tuple(T for key, T in found if key == best)
+
+
+def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> int | None:
+    """[G:B] for the largest cyclic B with AB = G, for a cyclic A = <alpha>
+    = <a^c, a^e b^f> containing G'; None when G/A is not cyclic.
+
+    G/A is abelian, generated by the images of a, of order c, and of b,
+    with b^f = a^-e1 mod A: e1 = e for f < n, and e1 = -s for f = n,
+    where b^n = a^s.  So G/A is cyclic iff gcd(c, e1, f) = 1, and then
+    beta = a^x b generates it, for x the product of the primes of c
+    dividing neither e1 nor f: (a^x b)^f = a^(x f - e1) mod A with
+    x f - e1 prime to c.  With q = [G:A] = c f, beta^-1 alpha beta =
+    alpha^tau, beta^q = alpha^sigma and Sigma = 1 + tau + ... +
+    tau^(q-1) mod |A|, every x = beta^u alpha^j with gcd(u, q) = 1 maps
+    onto G/A and has x^q = alpha^(u sigma + j Sigma), so |<x>| = q |A| /
+    gcd(u sigma + j Sigma, |A|), and the least gcd, taken at u = 1, is
+    gcd(sigma, Sigma, |A|) = [G:B].  (beta alpha)^q = alpha^(sigma +
+    Sigma), so Sigma comes from one more `power`, whose closed form sums
+    the geometric series.
+    """
+    c, e, f = A.triple
+    e1 = e if f < G.n else -G.s
+    if math.gcd(c, e1, f) != 1:
+        return None
+    x = math.prod(p for p, _ in prime_factors(c) if e1 % p and f % p)
+    beta = G.mul((x % G.m, 0), G.gen_b)
+    alpha, q = A.generator, c * f
+    sigma = G.dlog(alpha, G.power(beta, q))
+    return math.gcd(sigma, G.dlog(alpha, G.power(G.mul(beta, alpha), q)), A.order)
 
 
 def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -260,10 +316,13 @@ def validate_tuple(m: int, n: int, s: int,
                    delta: UnitSubgroup) -> tuple[bool, tuple[str, ...]]:
     """Arithmetic test for whether (m, n, s, delta) classifies a group.
 
-    Returns (ok, reasons) with one reason per failed clause.  s must be
-    given in divisor-of-m normal form.  A non-cyclic delta, or a delta
-    modulus not dividing m, is malformed input rather than an invalid
-    tuple and raises ValueError.
+    Returns (ok, reasons) with one reason per failed clause.  Clause (a)
+    reads m, s, m' and whether |delta| divides n; clauses (b), (c) and
+    (d) read only the p-parts at the primes p of r, through
+    `_m_prime_at` and `_local_reasons`, which `valid_tuples` shares.  s
+    must be given in divisor-of-m normal form.  A non-cyclic delta, or a
+    delta modulus not dividing m, is malformed input rather than an
+    invalid tuple and raises ValueError.
     """
     if m < 1 or n < 1 or s < 1:
         raise ValueError("m, n and s must be positive")
@@ -282,28 +341,11 @@ def validate_tuple(m: int, n: int, s: int,
         reasons.append("(a) |delta| does not divide n")
     if not part(m, pi_prime) == part(s, pi_prime) == part(mp, pi_prime):
         reasons.append("(a) m, s, m' disagree at the primes outside r")
-    if part(mp, pi_r) != part(m_prime_of(m, n, s, r, eps, k), pi_r):
+    local = [(p, *_local_parts(p, m, r, s, n, k)) for p in sorted(pi_r)]
+    if any(p_part(mp, at[0]) != _m_prime_at(*at, eps) for at in local):
         reasons.append("(b) modulus of delta violates the m' formula at a prime of r")
-    if eps == -1:
-        m2, r2, s2 = p_part(m, 2), p_part(r, 2), p_part(s, 2)
-        n2, k2 = p_part(n, 2), p_part(k, 2)
-        if m2 // r2 > n2:
-            reasons.append("(c) m_2 / r_2 exceeds n_2")
-        if m2 > 2 * s2:
-            reasons.append("(c) m_2 exceeds 2 s_2")
-        if s2 == n2 * r2:
-            reasons.append("(c) s_2 equals n_2 r_2")
-        if n % 4 == 0 and m % 8 == 0 and k2 < n2 and r2 > s2:
-            reasons.append("(c) r_2 exceeds s_2 although 4 | n, 8 | m and k_2 < n_2")
-    for p in sorted(pi_r):
-        if p == 2 and eps == -1:
-            continue
-        m_p, r_p, s_p = p_part(m, p), p_part(r, p), p_part(s, p)
-        n_p, k_p = p_part(n, p), p_part(k, p)
-        if m_p // r_p > s_p or s_p > n_p:
-            reasons.append(f"(d) s_{p} outside the range [m_{p}/r_{p}, n_{p}]")
-        if r_p > s_p and n_p >= s_p * k_p:
-            reasons.append(f"(d) r_{p} > s_{p} but n_{p} >= s_{p} k_{p}")
+    for at in local:
+        reasons += _local_reasons(*at, eps)
     return not reasons, tuple(reasons)
 
 
@@ -345,13 +387,19 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
 def valid_tuples(max_order: int) -> tuple[MCInv, ...]:
     """All classifying tuples with m n <= max_order, canonically sorted.
 
-    The candidates are generated rather than filtered: for each m, each
+    The tuples are generated rather than filtered.  For each m, each
     m' | m and each cyclic delta mod m' with |delta| <= max_order / m,
-    the s | m that clause (a) of `validate_tuple` rejects without looking
-    at n (m, s and m' disagreeing outside the primes of r) are dropped,
-    and n runs over the multiples of |delta| up to max_order / m, so
-    |delta| divides n.  Every candidate kept still goes through
-    `validate_tuple`.  Ties of `MCInv.sort_key` are ordered by m'.
+    (r, eps, k) is derived once, and the s | m that clause (a) of
+    `validate_tuple` rejects without looking at n (m, s and m'
+    disagreeing outside the primes of r) are dropped.  Clause (a) holds
+    for every other s once |delta| divides n, and clauses (b), (c) and
+    (d) read n only through its p-parts n_p at the primes p of r.  So for
+    each s the admissible n_p are listed per prime of r, by the same
+    `_m_prime_at` and `_local_reasons` that `validate_tuple` calls, and
+    n runs only over the multiples of |delta| up to max_order / m whose
+    p-parts are all admissible.  Every tuple emitted still goes through
+    `validate_tuple`, and a rejection raises InvariantError.  Ties of
+    `MCInv.sort_key` are ordered by m'.
     """
     subgroups: dict[int, tuple[UnitSubgroup, ...]] = {}
     out = []
@@ -362,19 +410,50 @@ def valid_tuples(max_order: int) -> tuple[MCInv, ...]:
             if mp not in subgroups:
                 subgroups[mp] = cyclic_subgroups(mp, max_order // mp)
             for delta in subgroups[mp]:
-                if delta.order > n_max:
+                d = delta.order
+                if d > n_max:
                     continue
-                pi_prime = m_primes - primes_of(derive_rek(m, delta)[0])
+                r, eps, k = derive_rek(m, delta)
+                pi_r = sorted(primes_of(r))
+                pi_prime = m_primes - primes_of(r)
                 m_out = part(m, pi_prime)
                 if part(mp, pi_prime) != m_out:
                     continue
+                per_prime = [(p, p_part(m, p), p_part(r, p), p_part(k, p),
+                              p_part(mp, p), p_part(d, p)) for p in pi_r]
                 for s in divisors(m):
                     if part(s, pi_prime) != m_out:
                         continue
-                    for n in range(delta.order, n_max + 1, delta.order):
-                        if validate_tuple(m, n, s, delta)[0]:
-                            out.append(MCInv(m, n, s, delta))
+                    for n in _admissible_n(per_prime, s, eps, d, r, n_max):
+                        ok, reasons = validate_tuple(m, n, s, delta)
+                        if not ok:
+                            raise InvariantError(
+                                f"valid_tuples generated {(m, n, s, delta)}, which "
+                                "validate_tuple rejects: " + "; ".join(reasons))
+                        out.append(MCInv(m, n, s, delta))
     return tuple(sorted(out, key=lambda inv: (inv.sort_key(), inv.m_prime)))
+
+
+def _admissible_n(per_prime, s: int, eps: int, d: int, r: int, n_max: int) -> list[int]:
+    """The n <= n_max divisible by d whose p-part at each prime p of r
+    passes clauses (b), (c) and (d), for `per_prime` the (p, m_p, r_p,
+    k_p, m'_p, d_p) at each prime of r.  Each such n is one product h u: h a
+    product of admissible p-parts n_p, each a multiple of d_p, and u a
+    multiple of the part of d prime to r, itself prime to r.  The clause
+    helpers get (p, m_p, r_p, s_p, n_p, k_p), the layout of `_local_parts`."""
+    heads, d_out = [1], d
+    for p, m_p, r_p, k_p, mp_p, d_p in per_prime:
+        s_p, ok = p_part(s, p), []
+        d_out //= d_p
+        n_p = d_p
+        while n_p <= n_max:
+            at = (p, m_p, r_p, s_p, n_p, k_p)
+            if _m_prime_at(*at, eps) == mp_p and not _local_reasons(*at, eps):
+                ok.append(n_p)
+            n_p *= p
+        heads = [h * q for h in heads for q in ok if h * q <= n_max]
+    return [h * u for h in heads for u in range(d_out, n_max // h + 1, d_out)
+            if math.gcd(u, r) == 1]
 
 
 # -- local structure ---------------------------------------------------------

@@ -208,9 +208,11 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
     strong-pair axioms hold by the classification of metabelian group
     algebras, and :func:`idempotent_check` verifies them at small orders.
     """
-    classes = []
+    classes, orders = [], {}
     for c, f, _, _, es in G._canonical_blocks():
-        e0 = mult_order(G.t, c)
+        if c not in orders:
+            orders[c] = mult_order(G.t, c)
+        e0 = orders[c]
         if f % e0:
             continue
         L = G.l_subgroup(e0)

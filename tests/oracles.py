@@ -18,6 +18,16 @@ def coset_order(G: MetacyclicGroup, x: El, K: Subgroup) -> int:
     return next(d for d in divisors(G.element_order(x)) if G.power(x, d) in K)
 
 
+def walk_dlog(G: MetacyclicGroup, g: El, target: El) -> int:
+    """Least e >= 0 with target = g^e, by a walk of up to |g| steps."""
+    g_inv, y = G.inv(g), target
+    for e in range(G.element_order(g)):
+        if y == G.identity:
+            return e
+        y = G.mul(y, g_inv)
+    raise ValueError("target does not lie in <g>")
+
+
 def coset_dlog(G: MetacyclicGroup, g: El, target: El, K: Subgroup) -> int:
     """Least e >= 0 with target in K g^e, by a walk of up to |g| steps."""
     g_inv, y = G.inv(g), target
@@ -26,6 +36,14 @@ def coset_dlog(G: MetacyclicGroup, g: El, target: El, K: Subgroup) -> int:
             return e
         y = G.mul(y, g_inv)
     raise ValueError("target does not lie in K<g>")
+
+
+def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup) -> int | None:
+    """[G:B] for the largest cyclic B with AB = G, A normal, by a walk of
+    `cyclic_subgroups()` from its end; None when no B maps onto G/A."""
+    n = G.order // A.order
+    return next((G.order // B.order for B in reversed(G.cyclic_subgroups())
+                 if B.order % n == 0 and G.generates_quotient(B.generator, A, n)), None)
 
 
 def qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:

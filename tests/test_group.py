@@ -16,7 +16,7 @@ from metacyclic.group import (
 )
 from metacyclic.invariants import construct_group, valid_tuples
 from metacyclic.numth import divisors, orbit, p_part
-from oracles import coset_dlog, coset_order
+from oracles import coset_dlog, coset_order, walk_dlog
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -363,6 +363,26 @@ def test_dlog_is_the_least_exponent_reaching_the_coset() -> None:
                 dlog(*args)
         else:
             assert dlog(*args) == want
+
+
+def test_dlog_against_the_walk() -> None:
+    """The arithmetic `dlog` against the walk of up to |g| steps, on every
+    (g, target) pair of every consistent presentation up to order 24,
+    misses included."""
+    checked = misses = 0
+    for G in consistent_presentations(24):
+        for g in G.elements:
+            for target in G.elements:
+                try:
+                    want = walk_dlog(G, g, target)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        G.dlog(g, target)
+                    misses += 1
+                else:
+                    assert G.dlog(g, target) == want, (G, g, target)
+                checked += 1
+    assert (checked, misses) == (168746, 66168)
 
 
 def _has_cyclic_quotient(G: MetacyclicGroup, A, K) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from metacyclic import invariants
@@ -21,7 +23,7 @@ from metacyclic.invariants import (
     validate_tuple,
 )
 from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, divisors, trivial_subgroup
-from oracles import coset_order
+from oracles import coset_order, largest_cofactor_index
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -129,11 +131,29 @@ def test_minimal_factors_against_the_pair_search() -> None:
     assert checked == 5151
 
 
+def test_cofactor_index_against_the_walk_over_b() -> None:
+    """The closed form [G:B] = gcd(sigma, Sigma, |A|), and None for a
+    non-cyclic G/A, against the largest cyclic B onto G/A found from the
+    end of `cyclic_subgroups()`, for every cyclic A containing G' of every
+    consistent presentation up to order 64."""
+    checked = not_cyclic = 0
+    for G in consistent_presentations(64):
+        g = math.gcd(G.t - 1, G.m)
+        for A in G.cyclic_subgroups():
+            if g % A.triple[0] == 0:
+                want = largest_cofactor_index(G, A)
+                assert invariants._cofactor_index(G, A) == want, (G, A)
+                checked += 1
+                not_cyclic += want is None
+    assert (checked, not_cyclic) == (21883, 1563)
+
+
 def test_factorization_test_matches_the_coset_order_scan() -> None:
     """For a normal cyclic A of index n, G = AB iff the generator of B has
-    coset order n mod A.  `_minimal_factors` asks instead that no x^(n/q)
-    lies in A for a prime q | n; the two agree on every such pair (A, B),
-    for every class up to order 128."""
+    coset order n mod A.  `generates_quotient`, which the walk over B in
+    `tests/oracles.py` and `wedderburn._coset_generator` call, asks instead
+    that no x^(n/q) lies in A for a prime q | n; the two agree on every
+    such pair (A, B), for every class up to order 128."""
     checked = 0
     for inv in valid_tuples(128):
         G = construct_group(inv)
@@ -198,6 +218,36 @@ def test_validate_tuple_rejects_with_named_reason() -> None:
     assert any("s_2" in r for r in reasons)
 
 
+def test_validate_tuple_reasons_are_pinned() -> None:
+    """The full reasons tuple, one rejected tuple per clause and per
+    branch of (c) and (d), and one tuple failing four clauses at once,
+    which pins the order of the reasons."""
+    cases = {
+        (9, 3, 6, 3, 1): ("(a) s does not divide m",),
+        (3, 1, 3, 3, 2): ("(a) |delta| does not divide n",),
+        (3, 1, 1, 1, 0): ("(a) m, s, m' disagree at the primes outside r",),
+        (2, 2, 2, 1, 0): ("(b) modulus of delta violates the m' formula at a prime of r",),
+        (16, 2, 16, 4, 3): ("(c) m_2 / r_2 exceeds n_2",),
+        (4, 2, 1, 4, 3): ("(c) m_2 exceeds 2 s_2",),
+        (8, 2, 8, 4, 3): ("(c) s_2 equals n_2 r_2",),
+        (8, 4, 4, 8, 7): ("(c) r_2 exceeds s_2 although 4 | n, 8 | m and k_2 < n_2",),
+        (2, 1, 2, 2, 1): ("(d) s_2 outside the range [m_2/r_2, n_2]",),
+        (7, 1, 7, 7, 1): ("(d) s_7 outside the range [m_7/r_7, n_7]",),  # s_p > n_p
+        (27, 3, 3, 3, 1): ("(d) s_3 outside the range [m_3/r_3, n_3]",),  # m_p/r_p > s_p
+        (2, 1, 1, 2, 1): ("(d) r_2 > s_2 but n_2 >= s_2 k_2",),
+        (7, 1, 1, 7, 1): ("(d) r_7 > s_7 but n_7 >= s_7 k_7",),
+        (120, 4, 1, 24, 19): (
+            "(a) m, s, m' disagree at the primes outside r",
+            "(b) modulus of delta violates the m' formula at a prime of r",
+            "(c) m_2 exceeds 2 s_2",
+            "(c) r_2 exceeds s_2 although 4 | n, 8 | m and k_2 < n_2",
+            "(d) r_3 > s_3 but n_3 >= s_3 k_3",
+        ),
+    }
+    for (m, n, s, mp, gen), reasons in cases.items():
+        assert validate_tuple(m, n, s, cyclic_subgroup(gen, mp)) == (False, reasons), (m, n, s)
+
+
 def test_validate_tuple_raises_on_malformed_input() -> None:
     with pytest.raises(ValueError):
         validate_tuple(4, 2, 0, cyclic_subgroup(3, 4))  # s must be a positive divisor
@@ -239,6 +289,19 @@ def _filtered_tuples(max_order: int) -> list[MCInv]:
 def test_valid_tuples_equal_the_filtered_combinations() -> None:
     """Same tuples in the same order, ties of the sort key included."""
     assert list(valid_tuples(512)) == _filtered_tuples(512)
+
+
+def test_valid_tuples_raises_when_validate_tuple_rejects_a_tuple(monkeypatch) -> None:
+    """Every generated tuple goes through `validate_tuple`; one that it
+    rejects is an error, not a tuple left out."""
+    real = invariants.validate_tuple
+
+    def reject_order_12(m, n, s, delta):
+        return (False, ("made up",)) if m * n == 12 else real(m, n, s, delta)
+
+    monkeypatch.setattr(invariants, "validate_tuple", reject_order_12)
+    with pytest.raises(InvariantError, match="made up"):
+        valid_tuples.__wrapped__(16)
 
 
 def test_construct_group_is_deterministic() -> None:
