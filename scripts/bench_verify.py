@@ -13,6 +13,11 @@ inside `valid_tuples` and inside each check, taken by wrapping
 `cli.valid_tuples` and the entries of `cli._GROUP_CHECKS` from here.
 The checks share the cached `mcinv` and `decomposition` answers, so each
 group's first check to ask for one pays for it.
+
+`BENCH_verify.json`, next to this script's `scripts/` directory, pins the
+stdout digest for some N under `pinned_stdout_sha256`.  When the sweep's
+digest differs from the pinned one, the script still prints its line but
+exits 1, so no row is recorded from a tree whose output moved.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ import json
 import resource
 import sys
 import time
+from pathlib import Path
 
 from metacyclic import cli
 from metacyclic.cli import CHECK_NAMES, main
 from metacyclic.invariants import valid_tuples
 
 CHECKS = ",".join(name for name in CHECK_NAMES if name != "iso-oracle")
+RECORD = Path(__file__).resolve().parents[1] / "BENCH_verify.json"
 
 
 def _timed(fn, seconds: dict, key: str):
@@ -69,5 +76,15 @@ def run(max_order: int) -> dict:
     }
 
 
+def pinned_digest(max_order: int) -> str | None:
+    """The stdout digest `BENCH_verify.json` pins for this N, if any."""
+    return json.loads(RECORD.read_text())["pinned_stdout_sha256"].get(str(max_order))
+
+
 if __name__ == "__main__":
-    print(json.dumps(run(int(sys.argv[1]))))
+    row = run(int(sys.argv[1]))
+    print(json.dumps(row))
+    want = pinned_digest(row["max_order"])
+    if want is not None and row["stdout_sha256"] != want:
+        sys.exit(f"stdout_sha256 {row['stdout_sha256']} differs from the "
+                 f"pinned {want} for N = {row['max_order']}")

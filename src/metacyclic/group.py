@@ -211,17 +211,21 @@ class MetacyclicGroup:
         """The canonical triples of `_canonical_blocks(over)`, sorted by
         (order, triple).  The cyclic listing applies the tests of
         `Subgroup.generator`: it skips a (c, f) block unless t^f = 1 mod
-        M = m/c, and keeps e iff gcd(M, N, i/c) = 1 for x^N = a^i."""
+        M = m/c, and keeps e iff gcd(M, N, i/c) = 1 for x^N = a^i; each
+        subgroup it builds is handed that i/c, so its generator costs no
+        second test."""
         m, n, t, rows = self.m, self.n, self.t, []
         for c, f, S, s0, es in self._canonical_blocks(over):
             M, N = m // c, n // f
             if not cyclic:
-                rows.extend((M * N, c, e, f) for e in es)
+                rows.extend((M * N, c, e, f, None) for e in es)
             elif pow(t, f, M) == 1 % M:
-                rows.extend((M * N, c, e, f) for e in es
-                            if math.gcd(M, N, (e * S + s0) % m // c) == 1)
+                for e in es:
+                    power_exp = (e * S + s0) % m // c
+                    if math.gcd(M, N, power_exp) == 1:
+                        rows.append((M * N, c, e, f, power_exp))
         rows.sort()
-        return tuple(Subgroup(self, c, e, f) for _, c, e, f in rows)
+        return tuple(Subgroup(self, c, e, f, i) for _, c, e, f, i in rows)
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""
@@ -361,11 +365,16 @@ class Subgroup:
     triple, and iteration is lazy and sorted; only `idempotent_check` and
     the tests build the element set `elems`."""
 
-    def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int):
+    def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int,
+                 power_exp: int | None = None):
+        """`power_exp`, passed only by the cyclic listing of
+        `MetacyclicGroup._lattice`, is i/c for (a^e b^f)^(n/f) = a^i,
+        given once that listing has found the subgroup cyclic."""
         self.group = group
         self.triple = (c, e, f)
         self.gens = ((c % group.m, 0), (e, f % group.n))
         self.order = group.m // c * (group.n // f)
+        self._power_exp = power_exp
 
     @cached_property
     def elems(self) -> frozenset:
@@ -380,15 +389,18 @@ class Subgroup:
         cyclic iff gcd(M, N, i/c) = 1.  y = x a^(cj) = a^(e+cj) b^f maps
         onto the generator of S/<a^c> = C_N, so it generates S iff
         y^N = a^(i + cjN) generates <a^c>; as gcd(M, N, i/c) = 1 such a
-        j exists, and the least one is below M."""
+        j exists, and the least one is below M.  A subgroup from the
+        cyclic listing already has i/c and is cyclic."""
         G = self.group
         c, e, f = self.triple
         M, N = G.m // c, G.n // f
-        if pow(G.t, f, M) != 1 % M:
-            return None
-        i = G.power(self.gens[1], N)[0] // c
-        if math.gcd(M, N, i) != 1:
-            return None
+        i = self._power_exp
+        if i is None:
+            if pow(G.t, f, M) != 1 % M:
+                return None
+            i = G.power(self.gens[1], N)[0] // c
+            if math.gcd(M, N, i) != 1:
+                return None
         j = next(j for j in range(M) if math.gcd(i + j * N, M) == 1)
         return (e + c * j, f % G.n)
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .group import El, InvariantError, MetacyclicGroup, Subgroup
 from .numth import (
@@ -30,7 +29,6 @@ from .numth import (
     prime_factors,
     restrict,
     trivial_subgroup,
-    units,
 )
 
 
@@ -94,9 +92,11 @@ def fixed_field(d: int, T: UnitSubgroup) -> FixedField:
 
     The conductor is the smallest divisor d0 of d such that the kernel of
     reduction U_d -> U_{d0} lies inside T; the fixer is the image of T in
-    U_{d0}.  Minimality under divisibility makes the first hit in the
-    ascending divisor scan the unique canonical conductor, and it is never
-    2 mod 4 because that level reduces with trivial kernel.
+    U_{d0}.  That kernel is the units among the residues 1 + j d0 mod d,
+    so only those are tested.  Minimality under divisibility makes the
+    first hit in the ascending divisor scan the unique canonical
+    conductor, and it is never 2 mod 4 because that level reduces with
+    trivial kernel.
     """
     if d < 1:
         raise ValueError("modulus must be positive")
@@ -104,8 +104,8 @@ def fixed_field(d: int, T: UnitSubgroup) -> FixedField:
         raise ValueError(f"fixer has modulus {T.modulus}, expected {d}")
     fix = set(T.elements)
     for d0 in divisors(d):
-        rem = 1 % d0
-        if all(x % d0 != rem or x in fix for x in units(d)):
+        kernel = ((1 + j * d0) % d for j in range(d // d0))
+        if all(x in fix for x in kernel if math.gcd(x, d) == 1):
             fixer = restrict(T, d0)
             if phi(d) // T.order != phi(d0) // fixer.order:
                 raise InvariantError(f"fixer of {T} loses order at conductor {d0}")
@@ -147,21 +147,15 @@ def intersect_cyclotomic(F: FixedField, c: int) -> FixedField:
 def roots_of_unity_order(F: FixedField) -> int:
     """Order of the torsion subgroup of F* (always even).
 
-    Q(zeta_f) embeds in F exactly when the whole fixer reduces to 1 mod f,
-    so the torsion order is 2 * e * 2^(a-1) with e the largest odd such
-    divisor of the conductor and 2^a the largest such 2-power (a >= 1 read
-    as 1 when the conductor is odd, since -1 is always present).
+    Q(zeta_f) embeds in F exactly when f divides the conductor and the
+    whole fixer reduces to 1 mod f, that is when f divides g, the gcd of
+    the conductor and every x - 1 over the fixer.  So the torsion order
+    is 2 * e * 2^(a-1) with e the odd part of g and 2^a its 2-part (a >= 1
+    read as 1 when g is odd, since -1 is always present).
     """
-    d0 = F.conductor
-
-    def fixes(f: int) -> bool:
-        rem = 1 % f
-        return all(x % f == rem for x in F.fixer.elements)
-
-    e = max(f for f in divisors(d0) if f % 2 and fixes(f))
-    two = d0 & -d0
-    a_part = max((f for f in divisors(two) if fixes(f)), default=1)
-    return 2 * e * max(a_part // 2, 1)
+    g = math.gcd(F.conductor, *(x - 1 for x in F.fixer.elements))
+    two = g & -g
+    return 2 * (g // two) * max(two // 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,47 +185,58 @@ def _class_of(G: MetacyclicGroup, c: int, e: int) -> list[int]:
     return orbit
 
 
-def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
-    """One strong Shoda pair (L, K) per conjugacy class of K.
+def _shoda_classes(G: MetacyclicGroup) -> list[tuple[int, int, int, int, int]]:
+    """(c, e, f, e0, f_N) for each conjugacy class of K = <a^c, a^e b^f>
+    in a strong Shoda pair (L, K), L = <a, b^e0>, in pair order.
 
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
     of t mod m.  L contains A, so L = <a, b^d> with d | j0; L' <= K
-    forces e0 | d, e0 the order of t mod c for K = <a^c, a^e b^f>, and
-    maximality forces d = e0.  So each block (c, f) of canonical triples
-    is read at once: K lies in L iff e0 | f, L/K is cyclic by
-    `_cyclic_quotient`, and the class of K is `_class_of`.  The pairs
-    come in the (order, triple) order of each class's least-e member,
-    with K the member of least element list, the conjugate that the
-    twist y of `component_of` refers to; the first n/f elements (those
-    with i < c) order the conjugates, since the sorted list repeats them
-    for each i mod c.  Normality of K in L is checked outright; the other
-    strong-pair axioms hold by the classification of metabelian group
-    algebras, and :func:`idempotent_check` verifies them at small orders.
+    forces e0 | d, e0 the order of t mod c, and maximality forces d = e0.
+    So each block (c, f) of canonical triples is read at once: K lies in
+    L iff e0 | f, L/K is cyclic by `_cyclic_quotient`, and the class of K
+    is `_class_of`, of size f_N.  The classes come in the (order, triple)
+    order of their least-e members, and e is the member of least element
+    list, the conjugate that the twist y of `_component` refers to.  The
+    first n/f elements, those a^i b^j with i < c, order the conjugates,
+    since the sorted list repeats them for each i mod c; as t^f = 1 mod
+    c, they are a^(e l mod c) b^(l f) for l < n/f.  Normality of K in L
+    is checked outright: a normalizes K iff t^f = 1 mod c, and b^e0 iff
+    e (t^e0 - 1) = 0 mod c.  The other strong-pair axioms hold by the
+    classification of metabelian group algebras, and
+    :func:`idempotent_check` verifies them at small orders.
     """
-    classes, orders = [], {}
+    m, n, t = G.m, G.n, G.t
+    rows, orders = [], {}
     for c, f, _, _, es in G._canonical_blocks():
         if c not in orders:
-            orders[c] = mult_order(G.t, c)
+            orders[c] = mult_order(t, c)
         e0 = orders[c]
         if f % e0:
             continue
-        L = G.l_subgroup(e0)
-        head = G.n // f
+        a_normal = pow(t, f, c) == 1 % c
+        b_shift = pow(t, e0, c) - 1
+        head = n // f
         seen: set[int] = set()
         for e in es:
             if e in seen or not _cyclic_quotient(G, c, e, f, e0):
                 continue
-            K = Subgroup(G, c, e, f)
-            if not all(K.normalized_by(g) for g in L.gens):
-                raise InvariantError(f"{K!r} is not normal in {L!r} in {G!r}")
+            if not a_normal or e * b_shift % c:
+                raise InvariantError(f"{Subgroup(G, c, e, f)!r} is not normal in "
+                                     f"{G.l_subgroup(e0)!r} in {G!r}")
             conjugates = _class_of(G, c, e)
             seen.update(conjugates)
-            least = K if len(conjugates) == 1 else min(
-                (Subgroup(G, c, x, f) for x in conjugates),
-                key=lambda C: tuple(islice(C, head)))
-            classes.append(((K.order, K.triple), L, least))
-    classes.sort(key=lambda cls: cls[0])
-    return tuple((L, K) for _, L, K in classes)
+            least = e if len(conjugates) == 1 else min(
+                conjugates, key=lambda x: sorted((x * l % c, l) for l in range(head)))
+            rows.append((m // c * head, c, e, f, least, e0, len(conjugates)))
+    rows.sort()
+    return [(c, least, f, e0, f_N) for _, c, _, f, least, e0, f_N in rows]
+
+
+def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
+    """One strong Shoda pair (L, K) per conjugacy class of K, as listed by
+    `_shoda_classes`."""
+    return tuple((G.l_subgroup(e0), Subgroup(G, c, e, f))
+                 for c, e, f, e0, _ in _shoda_classes(G))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +402,13 @@ def _character(G: MetacyclicGroup, c: int, e: int, f: int, e0: int) -> tuple[int
     return gamma, (alpha * k - beta) % (alpha * gamma)
 
 
-def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponent:
-    """Descriptor of the simple algebra attached to a strong Shoda pair.
+_Centers = dict[tuple[int, int], tuple[UnitSubgroup, FixedField]]
+
+
+def _component(G: MetacyclicGroup, c: int, e: int, f: int, e0: int, f_N: int,
+               centers: _Centers) -> SimpleComponent:
+    """Descriptor of the simple algebra attached to the strong Shoda pair
+    (L, K) = (<a, b^e0>, <a^c, a^e b^f>) whose class of K has size f_N.
 
     With N = N_G(K) = <a, b^f_N> (see `_class_of`), u a generator of L/K
     and w = b^f_N a generator of the cyclic N/L (w = 1 when N = L): x is
@@ -406,43 +416,45 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     w^[N:L] = u^y mod K, and the center is the fixed field of <x> in
     Q(zeta_[L:K]); u is the least element of L generating L/K.  All of
     these are read through the character chi of `_character`, whose
-    kernel is K: u is the first element with chi(u) a unit,
-    x = chi(w^-1 u w) / chi(u) and y = chi(w^[N:L]) / chi(u).  The
+    kernel is K: u = a^i b^(e0 k) is the first element, in the order
+    of L, with chi(u) = p i + q k a unit mod [L:K], and a row i holds
+    one only if no prime of [L:K] divides both p i and q;
+    x = chi(w^-1 u w) / chi(u) = (p i t^-f_N + q k) / chi(u), and
+    y = chi(b^e0) / chi(u) when N > L, 0 when N = L (w = 1).  The
     descriptor is that of the K given: only y depends on which conjugate
     it is.  N contains a, hence G', so it is normal and the same for
     every conjugate, and w with it; conjugating K by g transports the
     action of w to that of g w g^-1, which differs from w by an element
     of G' <= L acting trivially on the abelian L/K.  So x, the center and
-    the degrees do not depend on the conjugate.  `decomposition` passes
-    the conjugate `strong_shoda_pairs` chose.
+    the degrees do not depend on the conjugate.
+
+    `centers` maps (idx, x) to the action subgroup <x> mod idx and its
+    fixed field; the caller owns it and keeps it for one decomposition.
     """
-    c, e, f = K.triple
-    e0 = mult_order(G.t, c)
-    if f % e0 or L != G.l_subgroup(e0) or not _cyclic_quotient(G, c, e, f, e0):
-        raise ValueError("(L, K) is not a strong Shoda pair of G")
-    idx = L.order // K.order
+    idx = c * f // e0
     p, q = _character(G, c, e, f, e0)
-
-    def chi(g: El) -> int:
-        return (p * g[0] + q * (g[1] // e0)) % idx
-
-    u = next(g for g in L if math.gcd(chi(g), idx) == 1)
-    matrix_size = len(_class_of(G, c, e))
-    w = (0, matrix_size) if matrix_size < e0 else G.identity
-    inv = pow(chi(u), -1, idx)
-    x = chi(G.conj(u, w)) * inv % idx
-    y = chi(G.power(w, e0 // matrix_size)) * inv % idx
-    action = cyclic_subgroup(x, idx)
+    i, k = next((i, k) for i in range(G.m) if math.gcd(p * i, q, idx) == 1
+                for k in range(G.n // e0) if math.gcd(p * i + q * k, idx) == 1)
+    inv = pow(p * i + q * k, -1, idx)
+    x = (p * (i * pow(G.t, -f_N, c)) + q * k) * inv % idx
+    if f_N < e0:
+        b_e0 = G.power((0, f_N), e0 // f_N)
+        y = (p * b_e0[0] + q * (b_e0[1] // e0)) * inv % idx
+    else:
+        y = 0
     if idx > 1 and math.gcd(x, idx) != 1:
         raise InvariantError("conjugation must act by a unit")
+    if (idx, x) not in centers:
+        action = cyclic_subgroup(x, idx)
+        centers[idx, x] = action, fixed_field(idx, action)
+    action, center = centers[idx, x]
 
-    total_degree = G.order // L.order
-    if total_degree != matrix_size * action.order:
-        raise InvariantError(f"degree {total_degree} is not {matrix_size} "
+    total_degree = e0  # [G:L]
+    if total_degree != f_N * action.order:
+        raise InvariantError(f"degree {total_degree} is not {f_N} "
                              f"times the action order {action.order}")
-    center = fixed_field(idx, action)
     return SimpleComponent(
-        matrix_size=matrix_size,
+        matrix_size=f_N,
         conductor=idx,
         x=x,
         y=y,
@@ -452,11 +464,24 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     )
 
 
+def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponent:
+    """Descriptor of the simple algebra attached to a strong Shoda pair
+    (L, K) of G, as computed by `_component` for that K."""
+    c, e, f = K.triple
+    e0 = mult_order(G.t, c)
+    if f % e0 or L != G.l_subgroup(e0) or not _cyclic_quotient(G, c, e, f, e0):
+        raise ValueError("(L, K) is not a strong Shoda pair of G")
+    return _component(G, c, e, f, e0, len(_class_of(G, c, e)), {})
+
+
 @lru_cache(maxsize=None)
 def decomposition(G: MetacyclicGroup) -> tuple[SimpleComponent, ...]:
     """All Wedderburn components of the rational group algebra of G,
-    sorted by (dimension, degree, conductor, action, twist)."""
-    comps = [component_of(G, L, K) for L, K in strong_shoda_pairs(G)]
+    sorted by (dimension, degree, conductor, action, twist): one
+    `_component` per class of `_shoda_classes`, sharing one table of
+    centers."""
+    centers: _Centers = {}
+    comps = [_component(G, *cls, centers) for cls in _shoda_classes(G)]
     comps.sort(key=SimpleComponent.sort_key)
     total = sum(c.q_dimension for c in comps)
     if total != G.order:

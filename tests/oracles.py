@@ -8,9 +8,11 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from metacyclic.group import El, MetacyclicGroup, Subgroup
-from metacyclic.numth import cyclic_subgroup, divisors, lcm, mult_order
-from metacyclic.wedderburn import SimpleComponent, _coset_generator, fixed_field
+from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
+from metacyclic.numth import (UnitSubgroup, cyclic_subgroup, divisors, lcm,
+                              mult_order, phi, restrict, units)
+from metacyclic.wedderburn import (FixedField, SimpleComponent, _coset_generator,
+                                   fixed_field)
 
 
 def coset_order(G: MetacyclicGroup, x: El, K: Subgroup) -> int:
@@ -103,3 +105,34 @@ def scan_component(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleCompon
         total_degree=total_degree,
         q_dimension=total_degree * total_degree * center.degree,
     )
+
+
+def scan_fixed_field(d: int, T: UnitSubgroup) -> FixedField:
+    """`fixed_field` by a scan of every unit mod d for each divisor d0:
+    the least d0 such that each unit that is 1 mod d0 lies in T."""
+    fix = set(T.elements)
+    for d0 in divisors(d):
+        rem = 1 % d0
+        if all(x % d0 != rem or x in fix for x in units(d)):
+            fixer = restrict(T, d0)
+            if phi(d) // T.order != phi(d0) // fixer.order:
+                raise InvariantError(f"fixer of {T} loses order at conductor {d0}")
+            return FixedField(d0, fixer)
+    raise InvariantError(f"no conductor of {T} qualifies, not even {d}")
+
+
+def scan_roots_of_unity_order(F: FixedField) -> int:
+    """`roots_of_unity_order` by a scan of the divisors f of the
+    conductor for those whose whole fixer reduces to 1 mod f: 2 times
+    the largest odd such f times half the largest such 2-power (at
+    least 1)."""
+    d0 = F.conductor
+
+    def fixes(f: int) -> bool:
+        rem = 1 % f
+        return all(x % f == rem for x in F.fixer.elements)
+
+    e = max(f for f in divisors(d0) if f % 2 and fixes(f))
+    two = d0 & -d0
+    a_part = max((f for f in divisors(two) if fixes(f)), default=1)
+    return 2 * e * max(a_part // 2, 1)

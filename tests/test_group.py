@@ -291,12 +291,16 @@ def test_lattice_against_the_candidate_filter() -> None:
     and cyclic_subgroups() tests cyclicity per (c, f) block and per e
     without building a non-cyclic Subgroup.  Both equal the filter over
     every candidate triple, and its cyclic members, on every consistent
-    presentation up to order 64."""
+    presentation up to order 64; the generators the cyclic listing hands
+    out are those read off the bare triples."""
     checked = 0
     for G in consistent_presentations(64):
         filtered = _filtered_lattice(G)
         assert G.subgroups() == filtered, G
-        assert G.cyclic_subgroups() == tuple(S for S in filtered if S.is_cyclic), G
+        cyclic = tuple(S for S in filtered if S.is_cyclic)
+        assert G.cyclic_subgroups() == cyclic, G
+        assert [S.generator for S in G.cyclic_subgroups()] == \
+            [S.generator for S in cyclic], G
         checked += 1
     assert checked == 3786
 

@@ -14,7 +14,8 @@ from metacyclic.cli import MAX_ORDER_LIMIT
 from metacyclic.group import MetacyclicGroup, Subgroup
 from metacyclic.invariants import construct_group, mcinv, valid_tuples, validate_tuple
 from metacyclic.numth import divisors, geom_sum, units
-from metacyclic.wedderburn import component_of, strong_shoda_pairs
+from metacyclic.wedderburn import (SimpleComponent, component_of, decomposition,
+                                   strong_shoda_pairs)
 from oracles import scan_component, walk_pairs
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None,
@@ -109,7 +110,9 @@ def test_lattice_matches_the_candidate_filter(G) -> None:
             for e in range(c) if G.power((e, f % G.n), G.n // f)[0] % c == 0]
     filtered = tuple(sorted(subs, key=lambda S: (S.order, S.triple)))
     assert G.subgroups() == filtered
-    assert G.cyclic_subgroups() == tuple(S for S in filtered if S.is_cyclic)
+    cyclic = tuple(S for S in filtered if S.is_cyclic)
+    assert G.cyclic_subgroups() == cyclic
+    assert [S.generator for S in G.cyclic_subgroups()] == [S.generator for S in cyclic]
 
 
 @PROFILE
@@ -118,11 +121,13 @@ def test_pairs_and_components_match_the_lattice_walk(G) -> None:
     """strong_shoda_pairs and component_of against the lattice walk and
     the element scans of `oracles`, as in
     tests/test_wedderburn.py::test_pairs_and_components_against_the_lattice_walk
-    but on drawn presentations.  The oracle runs up to order 1024; above
-    it only the components' dimensions are checked to add up to |G|."""
+    but on drawn presentations, with decomposition equal to the sorted
+    components.  The oracle runs up to order 1024; above it only the
+    components' dimensions are checked to add up to |G|."""
     pairs = strong_shoda_pairs(G)
     comps = [component_of(G, L, K) for L, K in pairs]
     assert sum(comp.q_dimension for comp in comps) == G.order
+    assert decomposition.__wrapped__(G) == tuple(sorted(comps, key=SimpleComponent.sort_key))
     if G.order <= 1024:
         assert pairs == walk_pairs(G)
         assert comps == [scan_component(G, L, K) for L, K in pairs]

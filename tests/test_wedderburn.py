@@ -16,6 +16,7 @@ from metacyclic.wedderburn import (
     DIFFERENT,
     EQUAL,
     RATIONALS,
+    SimpleComponent,
     UNKNOWN,
     canonical_conductor,
     commutative_conductors,
@@ -34,8 +35,9 @@ from metacyclic.wedderburn import (
     roots_of_unity_order,
     strong_shoda_pairs,
 )
-from metacyclic.numth import cyclic_subgroup, from_generators, lcm, units
-from oracles import coset_order, qualifies, scan_component, walk_pairs
+from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, from_generators, lcm, units
+from oracles import (coset_order, qualifies, scan_component, scan_fixed_field,
+                     scan_roots_of_unity_order, walk_pairs)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -73,6 +75,30 @@ def test_roots_of_unity_orders() -> None:
     assert roots_of_unity_order(cyclotomic_field(8)) == 8
     # real subfield of Q(zeta_8) keeps only -1 despite the even conductor
     assert roots_of_unity_order(fixed_field(8, cyclic_subgroup(7, 8))) == 2
+
+
+def test_fixed_field_against_the_unit_scan() -> None:
+    """fixed_field tests only the residues 1 + j d0 that are units mod d
+    for each candidate conductor d0; the scan of every unit mod d finds
+    the same field for every cyclic T <= U_d with d <= 256."""
+    checked = 0
+    for d in range(1, 257):
+        for T in cyclic_subgroups(d):
+            assert fixed_field.__wrapped__(d, T) == scan_fixed_field(d, T), T
+            checked += 1
+    assert checked == 3591
+
+
+def test_roots_of_unity_order_against_the_divisor_scan() -> None:
+    """The gcd of the conductor and every x - 1 over the fixer gives the
+    same torsion order as the scan of the divisors of the conductor, on
+    every center up to order 256 and on Q(zeta_d) for d <= 256."""
+    fields = {comp.center for inv in valid_tuples(256)
+              for comp in decomposition(construct_group(inv))}
+    fields |= {cyclotomic_field(d) for d in range(1, 257)}
+    for F in fields:
+        assert roots_of_unity_order(F) == scan_roots_of_unity_order(F), F
+    assert len(fields) == 481
 
 
 def test_subfield_and_intersection() -> None:
@@ -189,16 +215,18 @@ def test_pairs_and_components_against_the_lattice_walk() -> None:
     components off (c, e, f), against the walk of `subgroups()` with its
     coset-order test and the element scans and coset walks of the old
     component route, on every consistent presentation up to order 64 and
-    every class up to order 256: the same pairs in the same order, and
-    equal components."""
+    every class up to order 256: the same pairs in the same order, equal
+    components, and decomposition, the one pass over the (c, f) blocks,
+    equal to those components sorted."""
     checked = pairs = 0
     groups = consistent_presentations(64) + [construct_group(inv)
                                              for inv in valid_tuples(256)]
     for G in groups:
         want = walk_pairs(G)
         assert strong_shoda_pairs(G) == want, G
-        for L, K in want:
-            assert component_of(G, L, K) == scan_component(G, L, K), (G, L, K)
+        comps = [component_of(G, L, K) for L, K in want]
+        assert comps == [scan_component(G, L, K) for L, K in want], G
+        assert decomposition(G) == tuple(sorted(comps, key=SimpleComponent.sort_key)), G
         checked += 1
         pairs += len(want)
     assert (checked, pairs) == (3786 + 1365, 40528)
@@ -337,13 +365,13 @@ def test_caches_keep_no_subgroups() -> None:
 
 def test_dimension_identity_failure_raises_invariant_error(capsys,
                                                            monkeypatch) -> None:
-    real = wedderburn.component_of
+    real = wedderburn._component
 
-    def inflated(G, L, K):
-        comp = real(G, L, K)
+    def inflated(*args):
+        comp = real(*args)
         return dataclasses.replace(comp, q_dimension=comp.q_dimension + 1)
 
-    monkeypatch.setattr(wedderburn, "component_of", inflated)
+    monkeypatch.setattr(wedderburn, "_component", inflated)
     with pytest.raises(InvariantError, match="dimensions"):
         decomposition.__wrapped__(S3)
     # No other test decomposes this presentation, so the cache cannot answer.
