@@ -37,6 +37,7 @@ from .group import (
 from .invariants import (
     check_entry,
     construct_group,
+    local_params,
     mcinv,
     pi_sets,
     sylow_presentation,
@@ -140,16 +141,6 @@ def max_degree_branch(G: MetacyclicGroup) -> int:
     return der.k
 
 
-# -- shared local data -------------------------------------------------------
-
-
-def _local_params(G: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
-    """(mu, nu, sigma, rho, e) of the Sylow p-subgroup's own tuple."""
-    S = sylow_presentation(G, p)
-    sinv, sder = mcinv(S)
-    return vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p), vp(sder.r, p), sder.eps
-
-
 # -- countB: components of degree k over the rationals -----------------------
 
 
@@ -248,7 +239,7 @@ def regime_U(G: MetacyclicGroup, p: int) -> bool:
     inv, der = mcinv(G)
     if p not in der.pi:
         return False
-    mu, nu, sigma, rho, e = _local_params(G, p)
+    mu, nu, sigma, rho, e = local_params(G, p)
     if e != 1 or der.eps != 1:
         return False
     k_p = p_part(der.k, p)
@@ -297,7 +288,7 @@ def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
 def _uvt(GC: MetacyclicGroup, p: int) -> UVT:
     """uvt_of for the canonical presentation GC of a group in the regime."""
     inv, der = mcinv(GC)
-    mu, nu, _, rho, _ = _local_params(GC, p)
+    mu, nu, _, rho, _ = local_params(GC, p)
     l_p = max(p_part(der.k, p), p ** (mu - rho))
     n_p = p_part(inv.n, p)
     v = min(n_p // l_p, p ** rho)
@@ -348,7 +339,7 @@ def count_C(G: MetacyclicGroup, p: int) -> int:
     _, der = mcinv(G)
     if p not in der.pi:
         raise ValueError(f"{p} does not lie in pi for this group")
-    mu, _, _, rho, _ = _local_params(G, p)
+    mu, _, _, rho, _ = local_params(G, p)
     banned = tuple(q for q in der.pi if q not in (p, 2))
     if p != 2:
         banned += (4,)
@@ -428,7 +419,7 @@ def formula_NG(G: MetacyclicGroup, p: int) -> tuple[int, int | None]:
     """
     GC = _regime_canonical_form(G, p)
     inv, der = mcinv(GC)
-    mu, nu, _, rho, _ = _local_params(GC, p)
+    mu, nu, _, rho, _ = local_params(GC, p)
     k_p = p_part(der.k, p)
     l = lcm(der.k, p ** (mu - rho))
     uvt = _uvt(GC, p)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable
 
 from .numth import (InvariantError, crt_exponent, divisors, orbit, part,
@@ -40,16 +39,6 @@ class MetacyclicGroup:
         self.n = n
         self.s = s
         self.t = t
-        self._tpow = tuple(pow(t, j, m) for j in range(n))
-        # With o the order of t mod m, _geom[j] for j < o lists the prefix
-        # sums 1 + x + ... + x^(l-1) mod m of x = t^j for l = 0 .. p, where
-        # p = o / gcd(j, o) is the order of x; t^(j + o) = t^j.  The table
-        # holds at most o(o + 1) integers, and o^2 <= n lambda(m) <= |G|.
-        o = next((j for j in range(1, n) if self._tpow[j] == 1 % m), n)
-        self._geom = tuple(
-            tuple(v % m for v in accumulate(
-                [self._tpow[j * l % o] for l in range(o // math.gcd(j, o))], initial=0))
-            for j in range(o))
 
     @property
     def key(self) -> tuple[int, int, int, int]:
@@ -88,7 +77,7 @@ class MetacyclicGroup:
         return tuple((i, j) for i in range(self.m) for j in range(self.n))
 
     def mul(self, x: El, y: El) -> El:
-        i = (x[0] + y[0] * self._tpow[x[1]]) % self.m
+        i = (x[0] + y[0] * pow(self.t, x[1], self.m)) % self.m
         j = x[1] + y[1]
         if j >= self.n:
             j -= self.n
@@ -100,18 +89,23 @@ class MetacyclicGroup:
         if j == 0:
             return (-i % self.m, 0)
         # (a^i b^j)^-1 = a^-(i+s) t^(n-j) b^(n-j), using b^-n = a^-s central.
-        return (-(i + self.s) * self._tpow[self.n - j] % self.m, self.n - j)
+        return (-(i + self.s) * pow(self.t, self.n - j, self.m) % self.m, self.n - j)
 
     def power(self, x: El, k: int) -> El:
-        """x^k = a^(i S(k)) b^(jk) for x = a^i b^j and any integer k, with
-        S(k + 1) = S(k) + t^(jk) and S(0) = 0; b^(jk) = a^(s floor(jk/n))
-        b^(jk mod n) as b^n = a^s is central.  S(k) is read from one period
-        p of its prefix sums: S(k) = (k // p) S(p) + S(k mod p)."""
+        """x^k = a^(i S(k)) b^(jk) for x = a^i b^j and k >= 0.  S(k) = 1 + y
+        + ... + y^(k-1) mod m, y = t^j mod m, is k if y = 1 mod m and else
+        (r - 1) // (y - 1) for r = y^k mod m(y - 1); b^(jk) = a^(s floor(jk/n))
+        b^(jk mod n) as b^n = a^s is central.  x^k = (x^-1)^(-k) for k < 0."""
+        if k < 0:
+            return self.power(self.inv(x), -k)
         i, j = x
-        sums = self._geom[j % len(self._geom)]
-        p = len(sums) - 1
-        exp = i * (k // p * sums[p] + sums[k % p]) + self.s * (j * k // self.n)
-        return (exp % self.m, j * k % self.n)
+        m = self.m
+        y = pow(self.t, j, m)
+        if y == 1 % m:
+            geom = k
+        else:
+            geom = (pow(y, k, m * (y - 1)) - 1) // (y - 1)
+        return ((i * geom + self.s * (j * k // self.n)) % m, j * k % self.n)
 
     def conj(self, g: El, h: El) -> El:
         """h^-1 g h."""

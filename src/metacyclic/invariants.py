@@ -30,7 +30,6 @@ from .numth import (
     primes_of,
     restrict,
     trivial_subgroup,
-    units,
     vp,
 )
 
@@ -352,11 +351,11 @@ def validate_tuple(m: int, n: int, s: int,
 def construct_group(inv: MCInv) -> MetacyclicGroup:
     """Canonical presentation realizing a valid classifying tuple.
 
-    Scans the units mod m in ascending order for an action exponent
-    whose cyclic group restricts to delta on m' and to the prescribed
-    local action at every prime of r, and which satisfies the two
-    presentation compatibility congruences.  Taking the first hit makes
-    the output deterministic.
+    Scans the units mod m in ascending order (0 is the unit mod 1) for
+    an action exponent whose cyclic group restricts to delta on m' and
+    to the prescribed local action at every prime of r, and which
+    satisfies the two presentation compatibility congruences.  The scan
+    stops at the first hit, which makes the output deterministic.
     """
     ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
     if not ok:
@@ -369,8 +368,8 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
         m_p = p_part(m, p)
         e = eps if p == 2 else 1
         local[m_p] = cyclic_subgroup((e + p_part(r, p)) % m_p, m_p)
-    for x in units(m):
-        if pow(x, n, m) != 1 % m:
+    for x in range(m):
+        if math.gcd(x, m) != 1 or pow(x, n, m) != 1 % m:
             continue
         if (s_res * (x - 1)) % m:
             continue
@@ -476,6 +475,12 @@ def sylow_presentation(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
     return MetacyclicGroup(m_p, n_p, s_loc, t_loc)
 
 
+def local_params(G: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
+    """(mu, nu, sigma, rho, e) of the Sylow p-subgroup's own tuple."""
+    sinv, sder = mcinv(sylow_presentation(G, p))
+    return vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p), vp(sder.r, p), sder.eps
+
+
 def _exponent(G: MetacyclicGroup) -> int:
     return lcm(*(d for d, _ in G.order_profile()))
 
@@ -511,10 +516,7 @@ def sylow_mcinv_consistency(G: MetacyclicGroup, p: int) -> list[dict]:
     inv, der = mcinv(G)
     if p not in der.pi:
         raise ValueError(f"{p} does not lie in pi for this group")
-    S = sylow_presentation(G, p)
-    sinv, sder = mcinv(S)
-    mu, nu, sigma = vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p)
-    rho, e = vp(sder.r, p), sder.eps
+    mu, nu, sigma, rho, e = local_params(G, p)
     m_p, n_p, s_p = p_part(inv.m, p), p_part(inv.n, p), p_part(inv.s, p)
     r_p, k_p, eps = p_part(der.r, p), p_part(der.k, p), der.eps
 
@@ -555,7 +557,7 @@ def sylow_mcinv_consistency(G: MetacyclicGroup, p: int) -> list[dict]:
             chk("3a: p = 2, e = 1 force eps = 1", eps == 1, eps, 1)
         chk("3b: m_p / r_p = p^(mu-rho)", m_p // r_p == p ** (mu - rho),
             m_p // r_p, p ** (mu - rho))
-        expo = _exponent(S)
+        expo = _exponent(sylow_presentation(G, p))
         chk("3b: exponent = m_p n_p / s_p", expo == m_p * n_p // s_p,
             expo, m_p * n_p // s_p)
         chk("3b: exponent = p^(mu+nu-sigma)", expo == p ** (mu + nu - sigma),

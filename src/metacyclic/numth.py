@@ -114,7 +114,6 @@ def geom_sum(x: int, n: int) -> int:
     return (x**n - 1) // (x - 1)
 
 
-@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """Residues of the unit group mod n; (0,) for the degenerate modulus 1."""
     if n == 1:
@@ -208,8 +207,26 @@ def trivial_subgroup(modulus: int) -> UnitSubgroup:
 
 
 def cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
-    """The cyclic subgroup generated by t mod `modulus`."""
-    return from_generators(modulus, [t])
+    """The cyclic subgroup generated by t mod `modulus`.  A non-unit raises
+    ValueError before any walk, as its powers never return to 1."""
+    if modulus == 1:
+        return UnitSubgroup(1, (0,), 0)
+    if math.gcd(t, modulus) != 1:
+        raise ValueError(f"{t % modulus} is not a unit mod {modulus}")
+    return _walk(t % modulus, modulus)[0]
+
+
+def _walk(t: int, modulus: int) -> tuple[UnitSubgroup, list[int]]:
+    """<t> for a unit t mod `modulus` > 1 and its generators, the t^j with
+    gcd(j, |t|) = 1; the least of them is the subgroup's generator."""
+    powers = [1]
+    y = t
+    while y != 1:
+        powers.append(y)
+        y = y * t % modulus
+    k = len(powers)
+    gens = [powers[j] for j in range(k) if math.gcd(j, k) == 1]
+    return UnitSubgroup(modulus, tuple(sorted(powers)), min(gens)), gens
 
 
 def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
@@ -235,12 +252,11 @@ def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSu
     """The cyclic subgroups of the units mod `modulus` of order at most
     `max_order` (all of them when it is None), sorted.
 
-    Each subgroup is walked once, from its least generator t: the walk
-    lists the powers of t, and every power t^j with gcd(j, |t|) = 1 is
-    skipped afterwards.  A unit whose order exceeds the bound is passed
-    over by a few powers: its order divides phi(modulus), so it is at
-    most `max_order` iff t^d = 1 for a divisor d <= max_order of phi that
-    no other such divisor is a multiple of.
+    Each subgroup is walked once by `_walk`, from its least generator t,
+    and its other generators are skipped afterwards.  A unit whose order
+    exceeds the bound is passed over by a few powers: its order divides
+    phi(modulus), so it is at most `max_order` iff t^d = 1 for a divisor
+    d <= max_order of phi that no other such divisor is a multiple of.
     """
     bound = phi(modulus) if max_order is None else max_order
     if modulus == 1:
@@ -254,14 +270,9 @@ def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSu
             continue
         if all(pow(t, d, modulus) != 1 for d in tests):
             continue
-        powers = [1]
-        y = t
-        while y != 1:
-            powers.append(y)
-            y = y * t % modulus
-        k = len(powers)
-        known.update(powers[j] for j in range(1, k) if math.gcd(j, k) == 1)
-        found.append(UnitSubgroup(modulus, tuple(sorted(powers)), t))
+        sub, gens = _walk(t, modulus)
+        known.update(gens)
+        found.append(sub)
     return tuple(sorted(found))
 
 

@@ -474,7 +474,8 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     return _component(G, c, e, f, e0, len(_class_of(G, c, e)), {})
 
 
-@lru_cache(maxsize=None)
+# Only the group being checked reuses its answer; more would keep a sweep alive.
+@lru_cache(maxsize=1)
 def decomposition(G: MetacyclicGroup) -> tuple[SimpleComponent, ...]:
     """All Wedderburn components of the rational group algebra of G,
     sorted by (dimension, degree, conductor, action, twist): one

@@ -327,3 +327,16 @@ def test_construct_rejects_a_huge_s_without_factoring_it() -> None:
         capture_output=True, text=True, timeout=15)
     assert proc.returncode == 1
     assert "(a) s does not divide m; (c) m_2 exceeds 2 s_2" in proc.stderr
+
+
+def test_construct_rejects_a_non_unit_action_generator() -> None:
+    """The powers of a non-unit never return to 1, so `cyclic_subgroup`
+    must reject 2 mod 8 before walking them; a run that does not finish
+    fails on the timeout."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from metacyclic.cli import main; "
+         "sys.exit(main(['construct', '8', '2', '8', '8', '2']))"],
+        capture_output=True, text=True, timeout=15)
+    assert proc.returncode == 1
+    assert "not a unit" in proc.stderr

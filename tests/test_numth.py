@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from metacyclic.cli import consistent_presentations
+from metacyclic.group import MetacyclicGroup
 from metacyclic.numth import (
     crt_exponent,
     cyclic_subgroup,
@@ -97,8 +98,8 @@ def test_phi_and_mult_order_against_brute_force() -> None:
 
 
 def geom_sum_mod(x: int, n: int, mod: int) -> int:
-    """geom_sum(x, n) reduced mod `mod` by halving n, with no table: the
-    oracle for the prefix-sum table of `MetacyclicGroup.power`."""
+    """geom_sum(x, n) reduced mod `mod` by halving n: the oracle for the
+    closed form (y^k mod m(y - 1) - 1) // (y - 1) of `MetacyclicGroup.power`."""
     if mod == 1:
         return 0
     if n == 0:
@@ -121,15 +122,30 @@ def test_geom_sum_mod_matches_direct_sum() -> None:
 
 def test_power_matches_the_recursive_geometric_sum() -> None:
     """(a^i b^j)^k = a^(i (1 + t^j + ... + t^(j(k-1))) + s floor(jk/n)) b^(jk):
-    the prefix-sum table of `MetacyclicGroup.power` against the recursion,
-    for 0 <= k <= 2 |G| on every presentation with m n <= 32."""
-    for G in consistent_presentations(32):
+    the closed form of `MetacyclicGroup.power` against the recursion, for
+    0 <= k <= 2 |G| on every presentation with m n <= 32, and for k in
+    {0, 1, 10^12 + 7} on sampled elements of four presentations of order
+    4096, where x^-k must be the recursion's k-th power of x^-1 and the
+    inverse of x^k."""
+    big = 10**12 + 7
+    cases = [(G, G.elements, range(2 * G.order + 1))
+             for G in consistent_presentations(32)]
+    cases += [(G, G.elements[::97], (0, 1, big)) for G in (
+        MetacyclicGroup(1, 4096, 0, 1), MetacyclicGroup(4096, 1, 0, 1),
+        MetacyclicGroup(64, 64, 0, 5), MetacyclicGroup(128, 32, 64, 127))]
+
+    def recursion(G, el, k):
         m, n, s, t = G.key
-        for i, j in G.elements:
-            x = pow(t, j, m)
-            assert [G.power((i, j), k) for k in range(2 * G.order + 1)] == [
-                ((i * geom_sum_mod(x, k, m) + s * (j * k // n)) % m, j * k % n)
-                for k in range(2 * G.order + 1)]
+        i, j = el
+        return ((i * geom_sum_mod(pow(t, j, m), k, m) + s * (j * k // n)) % m,
+                j * k % n)
+
+    for G, elements, ks in cases:
+        for x in elements:
+            assert [G.power(x, k) for k in ks] == [recursion(G, x, k) for k in ks]
+            if G.order == 4096:
+                assert G.power(x, -big) == recursion(G, G.inv(x), big), (G, x)
+                assert G.mul(G.power(x, -big), G.power(x, big)) == G.identity
 
 
 def test_units_degenerate_modulus() -> None:
@@ -190,6 +206,17 @@ def test_cyclic_subgroups_are_exactly_the_cyclic_ones() -> None:
         for bound in range(phi(modulus) + 2):
             got = cyclic_subgroups(modulus, bound)
             assert list(got) == [S for S in want if S.order <= bound], (modulus, bound)
+
+
+def test_cyclic_subgroup_matches_the_closure_of_its_generator() -> None:
+    """The power walk of `cyclic_subgroup` against the orbit closure of
+    `from_generators`, generator included, for every unit mod n <= 300."""
+    for modulus in range(1, 301):
+        for t in units(modulus):
+            assert cyclic_subgroup(t, modulus) == from_generators(modulus, [t]), (t, modulus)
+    assert cyclic_subgroup(19, 16) == cyclic_subgroup(3, 16)
+    with pytest.raises(ValueError, match="not a unit"):
+        cyclic_subgroup(2, 8)
 
 
 def test_crt_exponent_hits_prescribed_parts() -> None:
