@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property
 from typing import Iterable
 
 from .numth import (InvariantError, crt_exponent, divisors, orbit, part,
@@ -204,22 +203,19 @@ class MetacyclicGroup:
     def _lattice(self, cyclic: bool, over: int = 0) -> tuple["Subgroup", ...]:
         """The canonical triples of `_canonical_blocks(over)`, sorted by
         (order, triple).  The cyclic listing applies the tests of
-        `Subgroup.generator`: it skips a (c, f) block unless t^f = 1 mod
-        M = m/c, and keeps e iff gcd(M, N, i/c) = 1 for x^N = a^i; each
-        subgroup it builds is handed that i/c, so its generator costs no
-        second test."""
+        `Subgroup.generator` without building a non-cyclic subgroup: it
+        skips a (c, f) block unless t^f = 1 mod M = m/c, and keeps e iff
+        gcd(M, N, i/c) = 1 for x^N = a^i = a^((e S + s0) mod m)."""
         m, n, t, rows = self.m, self.n, self.t, []
         for c, f, S, s0, es in self._canonical_blocks(over):
             M, N = m // c, n // f
             if not cyclic:
-                rows.extend((M * N, c, e, f, None) for e in es)
+                rows.extend((M * N, c, e, f) for e in es)
             elif pow(t, f, M) == 1 % M:
-                for e in es:
-                    power_exp = (e * S + s0) % m // c
-                    if math.gcd(M, N, power_exp) == 1:
-                        rows.append((M * N, c, e, f, power_exp))
+                rows.extend((M * N, c, e, f) for e in es
+                            if math.gcd(M, N, (e * S + s0) % m // c) == 1)
         rows.sort()
-        return tuple(Subgroup(self, c, e, f, i) for _, c, e, f, i in rows)
+        return tuple(Subgroup(self, c, e, f) for _, c, e, f in rows)
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""
@@ -233,14 +229,9 @@ class MetacyclicGroup:
 
     def conjugates(self, S: "Subgroup", gens=None) -> set["Subgroup"]:
         """Orbit of S under conjugation by the group generated by `gens`,
-        by default the whole group.  The whole group conjugates S once by
-        each a^i b^j with i < c and j < f, for (c, e, f) the triple of
-        N_G(S): one element of each right coset of the normalizer."""
-        if gens is None:
-            c, _, f = self.normalizer(S).triple
-            return {self.conjugate_subgroup(S, (i, j))
-                    for i in range(c) for j in range(f)}
-        return orbit(S, gens, self.conjugate_subgroup)
+        by default a and b, i.e. the whole group."""
+        return orbit(S, (self.gen_a, self.gen_b) if gens is None else gens,
+                     self.conjugate_subgroup)
 
     def subgroup_classes(self, subs: Iterable["Subgroup"],
                          gens=None) -> list["Subgroup"]:
@@ -355,26 +346,22 @@ class Subgroup:
     """<a^c, a^e b^f>, stored as its canonical triple (c, e, f): c | m,
     f | n, 0 <= e < c and (a^e b^f)^(n/f) in <a^c>, so the subgroup meets
     <a> in <a^c> and maps onto <b^f> in G/<a>, and no other triple gives
-    it.  Membership, cyclicity and a generator are arithmetic on the
-    triple, and iteration is lazy and sorted; only `idempotent_check` and
-    the tests build the element set `elems`."""
+    it.  It holds `group`, `triple`, `gens` and `order` and nothing else:
+    membership, cyclicity, normality and a generator are arithmetic on the
+    triple, recomputed on each read, and iteration is lazy and sorted;
+    only `idempotent_check` and the tests build the element set `elems`."""
 
-    def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int,
-                 power_exp: int | None = None):
-        """`power_exp`, passed only by the cyclic listing of
-        `MetacyclicGroup._lattice`, is i/c for (a^e b^f)^(n/f) = a^i,
-        given once that listing has found the subgroup cyclic."""
+    def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int):
         self.group = group
         self.triple = (c, e, f)
         self.gens = ((c % group.m, 0), (e, f % group.n))
         self.order = group.m // c * (group.n // f)
-        self._power_exp = power_exp
 
-    @cached_property
+    @property
     def elems(self) -> frozenset:
         return frozenset(self)
 
-    @cached_property
+    @property
     def generator(self) -> El | None:
         """A generator read off the triple, None when the subgroup is not
         cyclic.  With M = m/c, N = n/f, x = a^e b^f and x^N = a^i: S is
@@ -383,18 +370,16 @@ class Subgroup:
         cyclic iff gcd(M, N, i/c) = 1.  y = x a^(cj) = a^(e+cj) b^f maps
         onto the generator of S/<a^c> = C_N, so it generates S iff
         y^N = a^(i + cjN) generates <a^c>; as gcd(M, N, i/c) = 1 such a
-        j exists, and the least one is below M.  A subgroup from the
-        cyclic listing already has i/c and is cyclic."""
+        j exists, and the least one is below M.  Each read runs the test
+        t^f = 1 mod M and one `power` call for x^N."""
         G = self.group
         c, e, f = self.triple
         M, N = G.m // c, G.n // f
-        i = self._power_exp
-        if i is None:
-            if pow(G.t, f, M) != 1 % M:
-                return None
-            i = G.power(self.gens[1], N)[0] // c
-            if math.gcd(M, N, i) != 1:
-                return None
+        if pow(G.t, f, M) != 1 % M:
+            return None
+        i = G.power(self.gens[1], N)[0] // c
+        if math.gcd(M, N, i) != 1:
+            return None
         j = next(j for j in range(M) if math.gcd(i + j * N, M) == 1)
         return (e + c * j, f % G.n)
 
@@ -402,7 +387,7 @@ class Subgroup:
     def is_cyclic(self) -> bool:
         return self.generator is not None
 
-    @cached_property
+    @property
     def is_normal(self) -> bool:
         return all(map(self.normalized_by, (self.group.gen_a, self.group.gen_b)))
 

@@ -103,13 +103,13 @@ def t_subgroup(G: MetacyclicGroup, A: Subgroup) -> UnitSubgroup:
     Returned as the subgroup of units mod |A| generated by the exponents
     through which the two ambient generators act on a generator of A.
     """
-    if not A.is_cyclic:
+    g = A.generator
+    if g is None:
         raise ValueError("A must be cyclic")
     if not A.is_normal:
         raise ValueError("A must be normal")
     if A.order == 1:
         return trivial_subgroup(1)
-    g = A.generator
     exps = [G.dlog(g, G.conj(g, c)) for c in (G.gen_a, G.gen_b)]
     return from_generators(A.order, exps)
 

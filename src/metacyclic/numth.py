@@ -172,7 +172,7 @@ def orbit(start, gens, act) -> set:
     """Closure of {start} under x -> act(x, g) for every g in gens.
 
     The one breadth-first closure of the package, behind unit subgroups
-    mod n, conjugacy classes and the conjugation orbits of a subaction.
+    mod n, conjugacy classes and the conjugation orbits of subgroups.
     Subgroups of a metacyclic group are never closed this way; the tests
     use it as the oracle for their canonical triples.
     """

@@ -270,10 +270,11 @@ def _epsilon(G: MetacyclicGroup, L: Subgroup, K: Subgroup, u: El) -> _Vec:
     D_q/K is the unique subgroup of order q of the cyclic L/K; the empty
     product (L = K) is K-hat itself."""
     idx = L.order // K.order
-    eps = k_hat = _hat(K.elems)
+    k_elems = K.elems
+    eps = k_hat = _hat(k_elems)
     for q in {p for p, _ in prime_factors(idx)}:
         step = G.power(u, idx // q)
-        d_elems = {G.mul(k, G.power(step, i)) for k in K.elems for i in range(q)}
+        d_elems = {G.mul(k, G.power(step, i)) for k in k_elems for i in range(q)}
         term = _hat(sorted(d_elems))
         diff = dict(k_hat)
         for x, c in term.items():
@@ -306,7 +307,8 @@ def idempotent_check(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> bool:
     """
     if G.order > 128:
         raise ValueError("exact idempotent arithmetic is capped at order 128")
-    if not all(G.conj(k, g) in K.elems for g in L.gens for k in K.elems):
+    k_elems = K.elems
+    if not all(G.conj(k, g) in k_elems for g in L.gens for k in k_elems):
         return False
     u = _coset_generator(G, L, K)
     eps = _epsilon(G, L, K, u)

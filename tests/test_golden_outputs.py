@@ -18,8 +18,8 @@ CHECKS = "roundtrip,dimension,perlis-walker,recoverR,degpag,countB,countC,sectio
 PRESENTATIONS = ((3, 2, 0, 2), (4, 2, 2, 3), (4, 2, 0, 3), (8, 2, 0, 5),
                  (8, 2, 4, 7), (9, 3, 0, 4), (12, 4, 6, 5), (24, 2, 6, 5),
                  (32, 2, 0, 31), (12, 12, 6, 11), (21, 9, 0, 16))
-# Orders 384 to 512, where normalizers of large index and their
-# transversals do the most work.
+# Orders 384 to 512, where normalizers of large index and long
+# conjugation orbits do the most work.
 LARGE_PRESENTATIONS = ((48, 8, 0, 5), (96, 4, 0, 7), (32, 16, 0, 3),
                        (64, 8, 32, 9))
 

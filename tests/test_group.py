@@ -203,10 +203,11 @@ def test_core_and_subgroup_classes_against_brute_force() -> None:
         G = construct_group(inv)
         classes = G.conjugacy_classes()
         subs = G.subgroups()
+        elems = {S: S.elems for S in subs}
         for S in subs:
-            inside = frozenset().union(*(c for c in classes if c <= S.elems))
+            inside = frozenset().union(*(c for c in classes if c <= elems[S]))
             assert G.core(S).elems == inside, (G, S)
-        brute = {frozenset(frozenset(G.conj(x, g) for x in S.elems)
+        brute = {frozenset(frozenset(G.conj(x, g) for x in elems[S])
                            for g in G.elements) for S in subs}
         assert len(G.subgroup_classes(subs)) == len(brute), G
 
@@ -217,12 +218,13 @@ def test_lattice_operations_against_brute_force() -> None:
     for inv in valid_tuples(64):
         G = construct_group(inv)
         for S in G.subgroups():
-            images = {x: frozenset(G.conj(g, x) for g in S.elems)
+            elems = S.elems
+            images = {x: frozenset(G.conj(g, x) for g in elems)
                       for x in G.elements}
             N = G.normalizer(S)
-            assert N.elems == {x for x, img in images.items() if img == S.elems}, (G, S)
+            assert N.elems == {x for x, img in images.items() if img == elems}, (G, S)
             assert G.generated(N.gens) == N
-            assert {x for x in G.elements if x in S} == S.elems, (G, S)
+            assert {x for x in G.elements if x in S} == elems, (G, S)
             assert len(G.conjugates(S)) == G.order // N.order
             assert {C.elems for C in G.conjugates(S)} == set(images.values()), (G, S)
         powers = {}
@@ -236,6 +238,23 @@ def test_lattice_operations_against_brute_force() -> None:
                    for S in cyc), G
         assert all(S.is_cyclic == (S.elems in powers) for S in G.subgroups()), G
         assert list(cyc) == sorted(cyc, key=lambda S: (S.order, S.triple)), G
+
+
+def test_subgroup_holds_only_its_triple() -> None:
+    """A Subgroup keeps group, triple, gens and order, and every derived
+    fact is recomputed on each read: once generator, is_cyclic, is_normal,
+    elems, iteration and membership have been read, its attributes are
+    still those four.  Checked on the subgroups that subgroups(),
+    cyclic_subgroups(), generated, normalizer and conjugates return, on
+    every consistent presentation up to order 32."""
+    for G in consistent_presentations(32):
+        subs = G.subgroups()
+        for T in (*subs, *G.cyclic_subgroups(),
+                  *(G.generated(S.gens) for S in subs), *map(G.normalizer, subs),
+                  *(C for S in G.subgroup_classes(subs) for C in G.conjugates(S))):
+            assert T.is_cyclic == (T.generator is not None) and T.is_normal in (True, False)
+            assert set(T.gens) <= T.elems and all(x in T for x in T.gens)
+            assert vars(T).keys() == {"group", "triple", "gens", "order"}, (G, T)
 
 
 def _walked_cyclic_subgroups(G: MetacyclicGroup) -> dict[tuple[int, int, int], frozenset]:
@@ -402,8 +421,9 @@ def test_cocyclic_triples_parametrize_distinct_subgroups() -> None:
     seen = set()
     for tr in cocyclic_triples(4, 4, 2):
         K = cocyclic_subgroup_from_triple(G, g, h, tr)
-        assert K.elems not in seen
-        seen.add(K.elems)
+        elems = K.elems
+        assert elems not in seen
+        seen.add(elems)
         assert _has_cyclic_quotient(G, A, K)
 
 

@@ -93,9 +93,9 @@ def _minimal_pairs(G: MetacyclicGroup):
     every normal cyclic A ranked by (|A|, r), against every cyclic B.
     The search `_minimal_factors` replaced, kept as its oracle."""
     order = G.order
-    cyclics = G.cyclic_subgroups()
+    cyclics = [(B, B.generator) for B in G.cyclic_subgroups()]
     ranked = []
-    for A in cyclics:
+    for A, _ in cyclics:
         if A.is_normal:
             ranked.append((A.order, derive_rek(A.order, t_subgroup(G, A))[0], A))
     ranked.sort(key=lambda t: t[:2])
@@ -105,9 +105,9 @@ def _minimal_pairs(G: MetacyclicGroup):
         if best_key is not None and (oa, ra) > best_key[:2]:
             break
         n = order // oa
-        for B in cyclics:
+        for B, y in cyclics:
             # A is normal, so G = AB iff B maps onto the cyclic G/A.
-            if B.order % n or not G.generates_quotient(B.generator, A, n):
+            if B.order % n or not G.generates_quotient(y, A, n):
                 continue
             key = (oa, ra, order // B.order)
             if best_key is None or key < best_key:
@@ -157,14 +157,13 @@ def test_factorization_test_matches_the_coset_order_scan() -> None:
     checked = 0
     for inv in valid_tuples(128):
         G = construct_group(inv)
-        cyclics = G.cyclic_subgroups()
-        for A in cyclics:
+        cyclics = [(B, B.generator) for B in G.cyclic_subgroups()]
+        for A, _ in cyclics:
             if not A.is_normal:
                 continue
             n = G.order // A.order
-            for B in cyclics:
+            for B, x in cyclics:
                 if B.order % n == 0:
-                    x = B.generator
                     assert G.generates_quotient(x, A, n) == \
                         (coset_order(G, x, A) == n), (G, A, B)
                     checked += 1
