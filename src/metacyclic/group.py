@@ -172,22 +172,23 @@ class MetacyclicGroup:
         return self.generated([x])
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        """The cyclic subgroups, in the order of `subgroups()`."""
-        return self._lattice(cyclic=True)
+        """The cyclic subgroups, in the order of `subgroups()`: those whose
+        `generator` is not None."""
+        return tuple(S for S in self.subgroups() if S.is_cyclic)
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, one per canonical triple, by (order, triple)."""
-        return self._lattice(cyclic=False)
+        return self._lattice()
 
     def _canonical_blocks(self, over: int = 0):
-        """(c, f, S, s0, es) for each f | n and c | gcd(m, over) with a
-        canonical triple (c, e, f), es the range of its e.  c | over says
-        that the subgroups contain a^over; over = 0 keeps every c.  With
-        x = a^e b^f, N = n/f, S = sum of t^(f l) over l < N and s0 = s for
-        f < n, 0 for f = n, x^N = a^(e S + s0), so (c, e, f) is canonical
-        iff e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless
-        d | s0, and then the e < c are e0 + k c/d, e0 solving it mod c/d;
-        two `power` calls per f give S and s0."""
+        """(c, f, es) for each f | n and c | gcd(m, over) with a canonical
+        triple (c, e, f), es the range of its e.  c | over says that the
+        subgroups contain a^over; over = 0 keeps every c.  With x = a^e b^f,
+        N = n/f, S = sum of t^(f l) over l < N and s0 = s for f < n, 0 for
+        f = n, x^N = a^(e S + s0), so (c, e, f) is canonical iff
+        e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless d | s0,
+        and then the e < c are e0 + k c/d, e0 solving it mod c/d; two
+        `power` calls per f give S and s0."""
         m, n = self.m, self.n
         for f in divisors(n):
             N = n // f
@@ -198,23 +199,14 @@ class MetacyclicGroup:
                 if s0 % d == 0:
                     step = c // d
                     e0 = -s0 // d * pow(S // d, -1, step) % step
-                    yield c, f, S, s0, range(e0, c, step)
+                    yield c, f, range(e0, c, step)
 
-    def _lattice(self, cyclic: bool, over: int = 0) -> tuple["Subgroup", ...]:
-        """The canonical triples of `_canonical_blocks(over)`, sorted by
-        (order, triple).  The cyclic listing applies the tests of
-        `Subgroup.generator` without building a non-cyclic subgroup: it
-        skips a (c, f) block unless t^f = 1 mod M = m/c, and keeps e iff
-        gcd(M, N, i/c) = 1 for x^N = a^i = a^((e S + s0) mod m)."""
-        m, n, t, rows = self.m, self.n, self.t, []
-        for c, f, S, s0, es in self._canonical_blocks(over):
-            M, N = m // c, n // f
-            if not cyclic:
-                rows.extend((M * N, c, e, f) for e in es)
-            elif pow(t, f, M) == 1 % M:
-                rows.extend((M * N, c, e, f) for e in es
-                            if math.gcd(M, N, (e * S + s0) % m // c) == 1)
-        rows.sort()
+    def _lattice(self, over: int = 0) -> tuple["Subgroup", ...]:
+        """The subgroups of the canonical triples of
+        `_canonical_blocks(over)`, sorted by (order, triple)."""
+        m, n = self.m, self.n
+        rows = sorted((m // c * (n // f), c, e, f)
+                      for c, f, es in self._canonical_blocks(over) for e in es)
         return tuple(Subgroup(self, c, e, f) for _, c, e, f in rows)
 
     def l_subgroup(self, d: int) -> "Subgroup":
@@ -280,18 +272,6 @@ class MetacyclicGroup:
         return S
 
     # -- structure --------------------------------------------------------
-
-    def conjugacy_classes(self) -> tuple[frozenset, ...]:
-        """The classes in the order of their least elements."""
-        gens = (self.gen_a, self.gen_b)
-        seen: set[El] = set()
-        classes = []
-        for x in self.elements:
-            if x not in seen:
-                c = frozenset(orbit(x, gens, self.conj))
-                seen |= c
-                classes.append(c)
-        return tuple(classes)
 
     def abelianization_invariants(self) -> tuple[int, ...]:
         """Invariant factors of G/[G,G], from the Smith form of the

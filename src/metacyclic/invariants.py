@@ -213,19 +213,20 @@ def _minimal_factors(G: MetacyclicGroup):
 
     G/A = B/(A meet B) is cyclic, so A contains G' = <a^g> with
     g = gcd(t - 1, m), and every subgroup containing G' is normal: only
-    the cyclic A = <a^c, a^e b^f> with c | g are tried, in (order,
-    triple) order, and the search ends once |A| passes the least order
-    that factors.  For each, `_cofactor_index` gives [G:B] for the
-    largest cyclic B mapping onto G/A, or None when G/A is not cyclic.
+    the A = <a^c, a^e b^f> with c | g are tried, in (order, triple)
+    order, and the search ends once |A| passes the least order that
+    factors.  For each, `_cofactor_index` gives [G:B] for the largest
+    cyclic B mapping onto G/A and the action of G on A, or None when A or
+    G/A is not cyclic.
     """
     g = math.gcd(G.t - 1, G.m)
     found = []
-    for A in G._lattice(cyclic=True, over=g):
+    for A in G._lattice(over=g):
         if found and A.order > found[0][0][0]:
             break
-        s = _cofactor_index(G, A)
-        if s is not None:
-            T = t_subgroup(G, A)
+        hit = _cofactor_index(G, A)
+        if hit is not None:
+            s, T = hit
             found.append(((A.order, derive_rek(A.order, T)[0], s), T))
     if not found:
         raise InvariantError(f"{G!r} has no metacyclic factorization")
@@ -233,33 +234,39 @@ def _minimal_factors(G: MetacyclicGroup):
     return best, tuple(T for key, T in found if key == best)
 
 
-def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> int | None:
-    """[G:B] for the largest cyclic B with AB = G, for a cyclic A = <alpha>
-    = <a^c, a^e b^f> containing G'; None when G/A is not cyclic.
+def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> tuple[int, UnitSubgroup] | None:
+    """([G:B], T) for the largest cyclic B with AB = G and the action T of
+    G on A, for A = <a^c, a^e b^f> containing G'; None when A or G/A is
+    not cyclic.
 
     G/A is abelian, generated by the images of a, of order c, and of b,
     with b^f = a^-e1 mod A: e1 = e for f < n, and e1 = -s for f = n,
     where b^n = a^s.  So G/A is cyclic iff gcd(c, e1, f) = 1, and then
     beta = a^x b generates it, for x the product of the primes of c
     dividing neither e1 nor f: (a^x b)^f = a^(x f - e1) mod A with
-    x f - e1 prime to c.  With q = [G:A] = c f, beta^-1 alpha beta =
-    alpha^tau, beta^q = alpha^sigma and Sigma = 1 + tau + ... +
-    tau^(q-1) mod |A|, every x = beta^u alpha^j with gcd(u, q) = 1 maps
-    onto G/A and has x^q = alpha^(u sigma + j Sigma), so |<x>| = q |A| /
-    gcd(u sigma + j Sigma, |A|), and the least gcd, taken at u = 1, is
-    gcd(sigma, Sigma, |A|) = [G:B].  (beta alpha)^q = alpha^(sigma +
-    Sigma), so Sigma comes from one more `power`, whose closed form sums
-    the geometric series.
+    x f - e1 prime to c.  For a cyclic A = <alpha>, with q = [G:A] = c f,
+    beta^-1 alpha beta = alpha^tau, beta^q = alpha^sigma and Sigma = 1 +
+    tau + ... + tau^(q-1) mod |A|, every x = beta^u alpha^j with
+    gcd(u, q) = 1 maps onto G/A and has x^q = alpha^(u sigma + j Sigma),
+    so |<x>| = q |A| / gcd(u sigma + j Sigma, |A|), and the least gcd,
+    taken at u = 1, is gcd(sigma, Sigma, |A|) = [G:B].  (beta alpha)^q =
+    alpha^(sigma + Sigma), so Sigma comes from one more `power`, whose
+    closed form sums the geometric series.  A is abelian, so the action
+    of G on A factors through the cyclic G/A, and T = <tau>.
     """
     c, e, f = A.triple
     e1 = e if f < G.n else -G.s
     if math.gcd(c, e1, f) != 1:
         return None
+    alpha = A.generator
+    if alpha is None:
+        return None
     x = math.prod(p for p, _ in prime_factors(c) if e1 % p and f % p)
     beta = G.mul((x % G.m, 0), G.gen_b)
-    alpha, q = A.generator, c * f
+    q = c * f
     sigma = G.dlog(alpha, G.power(beta, q))
-    return math.gcd(sigma, G.dlog(alpha, G.power(G.mul(beta, alpha), q)), A.order)
+    s = math.gcd(sigma, G.dlog(alpha, G.power(G.mul(beta, alpha), q)), A.order)
+    return s, cyclic_subgroup(G.dlog(alpha, G.conj(alpha, beta)), A.order)
 
 
 def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -270,11 +277,6 @@ def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return pi, tuple(p for p in ps if p not in pi)
 
 
-def _derived_part(G: MetacyclicGroup, primes) -> Subgroup:
-    d = G.derived_subgroup()
-    return G.cyclic_subgroup(G.element_part(d.generator, primes))
-
-
 @lru_cache(maxsize=None)
 def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     """Classifying tuple of G together with the derived quantities.
@@ -282,7 +284,9 @@ def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     m and s come from a minimal factorization G = AB (see
     `_minimal_factors`); delta depends on A alone, and every minimizing
     factor A must produce the same delta, which is checked rather than
-    trusted.
+    trusted.  R acts on the pi'-part of G' = <a^g>, g = gcd(t - 1, m),
+    which a centralizes and b raises to the power t^-1, so R = <t> mod the
+    order of that part.
     """
     (m, _, s), actions = _minimal_factors(G)
     n = G.order // m
@@ -296,7 +300,7 @@ def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     delta, r, eps, k, mp = seen.pop()
     pi_prime = tuple(sorted(primes_of(m) - primes_of(r)))
     pi = tuple(sorted(primes_of(G.order) - set(pi_prime)))
-    R = t_subgroup(G, _derived_part(G, pi_prime))
+    R = from_generators(part(G.m // math.gcd(G.t - 1, G.m), pi_prime), [G.t])
     if R.modulus != part(m, pi_prime):
         raise InvariantError(f"R of {G!r} has modulus {R.modulus}, "
                              f"expected {part(m, pi_prime)}")

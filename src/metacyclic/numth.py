@@ -172,9 +172,9 @@ def orbit(start, gens, act) -> set:
     """Closure of {start} under x -> act(x, g) for every g in gens.
 
     The one breadth-first closure of the package, behind unit subgroups
-    mod n, conjugacy classes and the conjugation orbits of subgroups.
-    Subgroups of a metacyclic group are never closed this way; the tests
-    use it as the oracle for their canonical triples.
+    mod n and the conjugation orbits of subgroups.  Subgroups of a
+    metacyclic group are never closed this way; the tests use it as the
+    oracle for their canonical triples, and to close conjugacy classes.
     """
     seen = {start}
     frontier = [start]

@@ -207,7 +207,7 @@ def _shoda_classes(G: MetacyclicGroup) -> list[tuple[int, int, int, int, int]]:
     """
     m, n, t = G.m, G.n, G.t
     rows, orders = [], {}
-    for c, f, _, _, es in G._canonical_blocks():
+    for c, f, es in G._canonical_blocks():
         if c not in orders:
             orders[c] = mult_order(t, c)
         e0 = orders[c]

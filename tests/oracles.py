@@ -10,7 +10,7 @@ from itertools import islice
 
 from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
 from metacyclic.numth import (UnitSubgroup, cyclic_subgroup, divisors, lcm,
-                              mult_order, phi, restrict, units)
+                              mult_order, orbit, phi, restrict, units)
 from metacyclic.wedderburn import (FixedField, SimpleComponent, _coset_generator,
                                    fixed_field)
 
@@ -40,12 +40,36 @@ def coset_dlog(G: MetacyclicGroup, g: El, target: El, K: Subgroup) -> int:
     raise ValueError("target does not lie in K<g>")
 
 
-def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup) -> int | None:
+def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup,
+                           cyclics: tuple[Subgroup, ...]) -> int | None:
     """[G:B] for the largest cyclic B with AB = G, A normal, by a walk of
-    `cyclic_subgroups()` from its end; None when no B maps onto G/A."""
+    `cyclics`, G's `cyclic_subgroups()`, from its end; None when no B maps
+    onto G/A."""
     n = G.order // A.order
-    return next((G.order // B.order for B in reversed(G.cyclic_subgroups())
+    return next((G.order // B.order for B in reversed(cyclics)
                  if B.order % n == 0 and G.generates_quotient(B.generator, A, n)), None)
+
+
+def derived_part(G: MetacyclicGroup, primes) -> Subgroup:
+    """The `primes`-part of G' as a subgroup, generated by the part of the
+    generator of `derived_subgroup()`: `t_subgroup` of it is the route
+    that R = <t> in `mcinv` replaced."""
+    d = G.derived_subgroup()
+    return G.cyclic_subgroup(G.element_part(d.generator, primes))
+
+
+def conjugacy_classes(G: MetacyclicGroup) -> tuple[frozenset, ...]:
+    """The conjugacy classes of G, each closed by `orbit` under conjugation
+    by a and b, in the order of their least elements."""
+    gens = (G.gen_a, G.gen_b)
+    seen: set[El] = set()
+    classes = []
+    for x in G.elements:
+        if x not in seen:
+            c = frozenset(orbit(x, gens, G.conj))
+            seen |= c
+            classes.append(c)
+    return tuple(classes)
 
 
 def qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:

@@ -16,7 +16,7 @@ from metacyclic.group import (
 )
 from metacyclic.invariants import construct_group, valid_tuples
 from metacyclic.numth import divisors, orbit, p_part
-from oracles import coset_dlog, coset_order, walk_dlog
+from oracles import conjugacy_classes, coset_dlog, coset_order, walk_dlog
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -104,15 +104,15 @@ def test_brute_force_isomorphism_separates_q8_from_d8() -> None:
 
 def test_center_derived_and_class_counts() -> None:
     assert S3.derived_subgroup().order == 3
-    assert len(S3.conjugacy_classes()) == 3
-    assert len(Q8.conjugacy_classes()) == 5
-    assert len(D8.conjugacy_classes()) == 5
-    assert len(M16.conjugacy_classes()) == 10
+    assert len(conjugacy_classes(S3)) == 3
+    assert len(conjugacy_classes(Q8)) == 5
+    assert len(conjugacy_classes(D8)) == 5
+    assert len(conjugacy_classes(M16)) == 10
 
 
 def test_conjugacy_classes_partition_the_group() -> None:
     for G in SAMPLE:
-        classes = G.conjugacy_classes()
+        classes = conjugacy_classes(G)
         seen = [x for c in classes for x in c]
         assert sorted(seen) == sorted(G.elements)
         for c in classes:
@@ -201,7 +201,7 @@ def test_core_and_subgroup_classes_against_brute_force() -> None:
     to order 64."""
     for inv in valid_tuples(64):
         G = construct_group(inv)
-        classes = G.conjugacy_classes()
+        classes = conjugacy_classes(G)
         subs = G.subgroups()
         elems = {S: S.elems for S in subs}
         for S in subs:
@@ -307,18 +307,19 @@ def _filtered_lattice(G: MetacyclicGroup) -> tuple[Subgroup, ...]:
 
 def test_lattice_against_the_candidate_filter() -> None:
     """subgroups() solves one congruence per (c, f) for the canonical e,
-    and cyclic_subgroups() tests cyclicity per (c, f) block and per e
-    without building a non-cyclic Subgroup.  Both equal the filter over
-    every candidate triple, and its cyclic members, on every consistent
-    presentation up to order 64; the generators the cyclic listing hands
-    out are those read off the bare triples."""
+    and cyclic_subgroups() keeps the subgroups whose `generator` is not
+    None.  Both equal the filter over every candidate triple, and its
+    cyclic members, on every consistent presentation up to order 64; the
+    generators of the cyclic listing are those read off the bare
+    triples."""
     checked = 0
     for G in consistent_presentations(64):
         filtered = _filtered_lattice(G)
         assert G.subgroups() == filtered, G
         cyclic = tuple(S for S in filtered if S.is_cyclic)
-        assert G.cyclic_subgroups() == cyclic, G
-        assert [S.generator for S in G.cyclic_subgroups()] == \
+        listed = G.cyclic_subgroups()
+        assert listed == cyclic, G
+        assert [S.generator for S in listed] == \
             [S.generator for S in cyclic], G
         checked += 1
     assert checked == 3786

@@ -23,7 +23,7 @@ from metacyclic.invariants import (
     validate_tuple,
 )
 from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, divisors, trivial_subgroup
-from oracles import coset_order, largest_cofactor_index
+from oracles import coset_order, derived_part, largest_cofactor_index
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -53,6 +53,18 @@ def test_mcinv_derived_invariants() -> None:
     assert der.R.elements == (1, 2)  # restriction to the 3-part
 
 
+def test_R_against_the_action_on_the_derived_part() -> None:
+    """R = <t> mod the pi'-part of |G'| against `t_subgroup` of the
+    pi'-part of G', cut out of the generator of `derived_subgroup()`, for
+    every consistent presentation up to order 64."""
+    checked = 0
+    for G in consistent_presentations(64):
+        der = mcinv(G)[1]
+        assert der.R == t_subgroup(G, derived_part(G, der.pi_prime)), G
+        checked += 1
+    assert checked == 3786
+
+
 def test_derive_rek_spot_values() -> None:
     assert derive_rek(8, cyclic_subgroup(7, 8)) == (8, -1, 1)
     assert derive_rek(8, cyclic_subgroup(3, 8)) == (4, -1, 1)
@@ -78,9 +90,10 @@ def test_minimal_factorization_shapes() -> None:
         (m_min, _, s), actions = invariants._minimal_factors(G)
         assert m_min == m and actions
         derived = G.derived_subgroup()
-        factors = [A for A in G.cyclic_subgroups()
+        cyclics = G.cyclic_subgroups()
+        factors = [A for A in cyclics
                    if A.order == m and all(x in A for x in derived)]
-        cofactors = [B for B in G.cyclic_subgroups() if B.order * s == G.order]
+        cofactors = [B for B in cyclics if B.order * s == G.order]
         for T in actions:
             assert any(t_subgroup(G, A) == T
                        and any(G.generated(A.gens + B.gens).order == G.order
@@ -135,14 +148,18 @@ def test_cofactor_index_against_the_walk_over_b() -> None:
     """The closed form [G:B] = gcd(sigma, Sigma, |A|), and None for a
     non-cyclic G/A, against the largest cyclic B onto G/A found from the
     end of `cyclic_subgroups()`, for every cyclic A containing G' of every
-    consistent presentation up to order 64."""
+    consistent presentation up to order 64.  The action returned with it,
+    read from the one generator beta of G/A, equals `t_subgroup`, which
+    conjugates by both a and b."""
     checked = not_cyclic = 0
     for G in consistent_presentations(64):
         g = math.gcd(G.t - 1, G.m)
-        for A in G.cyclic_subgroups():
+        cyclics = G.cyclic_subgroups()
+        for A in cyclics:
             if g % A.triple[0] == 0:
-                want = largest_cofactor_index(G, A)
-                assert invariants._cofactor_index(G, A) == want, (G, A)
+                want = largest_cofactor_index(G, A, cyclics)
+                assert invariants._cofactor_index(G, A) == (
+                    None if want is None else (want, t_subgroup(G, A))), (G, A)
                 checked += 1
                 not_cyclic += want is None
     assert (checked, not_cyclic) == (21883, 1563)

@@ -102,17 +102,19 @@ def test_power_matches_repeated_multiplication(G, data) -> None:
 @PROFILE
 @given(presentations())
 def test_lattice_matches_the_candidate_filter(G) -> None:
-    """subgroups() and cyclic_subgroups() against the filter over every
-    candidate triple (c, e, f), one `power` call each, as in
-    tests/test_group.py::test_lattice_against_the_candidate_filter but
-    beyond its exhaustive bound of order 64."""
+    """subgroups(), one congruence per (c, f), and cyclic_subgroups(), the
+    subgroups whose `generator` is not None, against the filter over every
+    candidate triple (c, e, f), one `power` call each, and its cyclic
+    members, as in tests/test_group.py::test_lattice_against_the_candidate_filter
+    but beyond its exhaustive bound of order 64."""
     subs = [Subgroup(G, c, e, f) for c in divisors(G.m) for f in divisors(G.n)
             for e in range(c) if G.power((e, f % G.n), G.n // f)[0] % c == 0]
     filtered = tuple(sorted(subs, key=lambda S: (S.order, S.triple)))
     assert G.subgroups() == filtered
     cyclic = tuple(S for S in filtered if S.is_cyclic)
-    assert G.cyclic_subgroups() == cyclic
-    assert [S.generator for S in G.cyclic_subgroups()] == [S.generator for S in cyclic]
+    listed = G.cyclic_subgroups()
+    assert listed == cyclic
+    assert [S.generator for S in listed] == [S.generator for S in cyclic]
 
 
 @PROFILE
