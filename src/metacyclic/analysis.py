@@ -157,11 +157,8 @@ def _ne_regime(G: MetacyclicGroup) -> tuple[str, int] | None:
     inv, der = mcinv(G)
     if 2 not in der.pi:
         return None
-    sinv, _ = mcinv(sylow_presentation(G, 2))
-    nu = vp(sinv.n, 2)
-    if (sinv.m, sinv.n, sinv.s) != (4, 2 ** nu, 2) or nu < 2:
-        return None
-    if sinv.delta != cyclic_subgroup(3, 4):
+    mu, nu, sigma, _, e = local_params(G, 2)
+    if (mu, sigma, e) != (2, 1, -1) or nu < 2:
         return None
     m2, n2 = p_part(inv.m, 2), p_part(inv.n, 2)
     s2, r2, k2 = p_part(inv.s, 2), p_part(der.r, 2), p_part(der.k, 2)
@@ -255,18 +252,17 @@ def regime_U(G: MetacyclicGroup, p: int) -> bool:
 def _scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:
     """Generator of the p-part of <a> scaled so that b_p^{n_p} = a_p^{s_p}.
 
-    element_part gives some generator a_p with b_p^{n_p} = a_p^e where e is
-    only associate to s_p (same cyclic subgroup).  The two-generator basis
-    formulas below need the relation on the nose, so absorb the unit cofactor
-    into the generator.
+    element_part gives some generator a_p with b_p^{n_p} = a_p^e, where e,
+    the s of `sylow_presentation`, is only associate to s_p (same cyclic
+    subgroup).  The two-generator basis formulas below need the relation
+    on the nose, so absorb the unit cofactor into the generator.  G is the
+    canonical presentation, so its n_p is the tuple's.
     """
     inv, _ = mcinv(G)
     a_p = G.element_part(G.gen_a, (p,))
-    b_p = G.element_part(G.gen_b, (p,))
-    rel = G.power(b_p, p_part(inv.n, p))
-    if rel == G.identity:
+    e = sylow_presentation(G, p).s
+    if e == 0:
         return a_p
-    e = G.dlog(a_p, rel)
     s_p = p_part(inv.s, p)
     w, back = divmod(e, s_p)
     if back or w % p == 0:
@@ -503,7 +499,7 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
     the action inside the component's center.
     """
     inv, der = mcinv(G)
-    mp_p, r_p = p_part(der.m_prime, p), p_part(der.r, p)
+    mp_p, r_p = p_part(inv.m_prime, p), p_part(der.r, p)
     if p not in der.pi or mp_p <= r_p:
         return [check_entry(f"section7 p={p}", True, "not applicable",
                             "m'_p <= r_p") | {"status": "n/a"}]

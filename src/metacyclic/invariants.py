@@ -29,7 +29,6 @@ from .numth import (
     prime_factors,
     primes_of,
     restrict,
-    trivial_subgroup,
     vp,
 )
 
@@ -88,7 +87,6 @@ class DerivedInv:
     r: int
     eps: int
     k: int
-    m_prime: int
     pi: tuple[int, ...]
     pi_prime: tuple[int, ...]
     R: UnitSubgroup
@@ -108,8 +106,6 @@ def t_subgroup(G: MetacyclicGroup, A: Subgroup) -> UnitSubgroup:
         raise ValueError("A must be cyclic")
     if not A.is_normal:
         raise ValueError("A must be normal")
-    if A.order == 1:
-        return trivial_subgroup(1)
     exps = [G.dlog(g, G.conj(g, c)) for c in (G.gen_a, G.gen_b)]
     return from_generators(A.order, exps)
 
@@ -293,18 +289,17 @@ def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     seen = set()
     for T in actions:
         r, eps, k = derive_rek(m, T)
-        mp = m_prime_of(m, n, s, r, eps, k)
-        seen.add((restrict(T, mp), r, eps, k, mp))
+        seen.add((restrict(T, m_prime_of(m, n, s, r, eps, k)), r, eps, k))
     if len(seen) != 1:
         raise InvariantError(f"minimal factorizations of {G!r} disagree on delta")
-    delta, r, eps, k, mp = seen.pop()
+    delta, r, eps, k = seen.pop()
     pi_prime = tuple(sorted(primes_of(m) - primes_of(r)))
     pi = tuple(sorted(primes_of(G.order) - set(pi_prime)))
     R = from_generators(part(G.m // math.gcd(G.t - 1, G.m), pi_prime), [G.t])
     if R.modulus != part(m, pi_prime):
         raise InvariantError(f"R of {G!r} has modulus {R.modulus}, "
                              f"expected {part(m, pi_prime)}")
-    return MCInv(m, n, s, delta), DerivedInv(r, eps, k, mp, pi, pi_prime, R)
+    return MCInv(m, n, s, delta), DerivedInv(r, eps, k, pi, pi_prime, R)
 
 
 def isomorphic(G: MetacyclicGroup, H: MetacyclicGroup) -> bool:

@@ -92,15 +92,13 @@ def phi(n: int) -> int:
 
 
 def mult_order(x: int, n: int) -> int:
-    """Least k >= 1 with x^k = 1 mod n; order 1 when n == 1."""
-    if n == 1:
-        return 1
+    """Least k >= 1 with x^k = 1 mod n."""
     x %= n
     if math.gcd(x, n) != 1:
         raise ValueError(f"{x} is not a unit mod {n}")
     # The order divides phi(n); walk the divisors in increasing order.
     for d in divisors(phi(n)):
-        if pow(x, d, n) == 1:
+        if pow(x, d, n) == 1 % n:
             return d
     raise InvariantError(f"the order of {x} mod {n} does not divide phi(n)")
 
@@ -115,10 +113,8 @@ def geom_sum(x: int, n: int) -> int:
 
 
 def units(n: int) -> tuple[int, ...]:
-    """Residues of the unit group mod n; (0,) for the degenerate modulus 1."""
-    if n == 1:
-        return (0,)
-    return tuple(x for x in range(1, n) if math.gcd(x, n) == 1)
+    """Residues of the unit group mod n; (0,) for the modulus 1."""
+    return tuple(x for x in range(n) if math.gcd(x, n) == 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -126,8 +122,8 @@ class UnitSubgroup:
     """A subgroup of the units mod `modulus`, stored as a sorted residue tuple.
 
     `generator` is the smallest residue generating the subgroup, or None when
-    the subgroup is not cyclic.  Modulus 1 is the trivial group, by convention
-    stored as the single residue 0.
+    the subgroup is not cyclic.  The identity is the residue 1 % modulus, so
+    modulus 1 is the trivial group {0} with generator 0.
     """
 
     modulus: int
@@ -147,7 +143,7 @@ class UnitSubgroup:
         return len(self.elements) == 1
 
     def __contains__(self, x: int) -> bool:
-        return x % self.modulus in self.elements if self.modulus > 1 else True
+        return x % self.modulus in self.elements
 
     def canonical_generator(self) -> int:
         if self.generator is None:
@@ -157,8 +153,6 @@ class UnitSubgroup:
 
 @lru_cache(maxsize=None)
 def _canonical(modulus: int, elements: tuple[int, ...]) -> UnitSubgroup:
-    if modulus == 1:
-        return UnitSubgroup(1, (0,), 0)
     k = len(elements)
     gen = None
     for x in elements:
@@ -192,13 +186,11 @@ def orbit(start, gens, act) -> set:
 
 def from_generators(modulus: int, gens) -> UnitSubgroup:
     """Subgroup of the units mod `modulus` generated by the given residues."""
-    if modulus == 1:
-        return _canonical(1, (0,))
     gs = [g % modulus for g in gens]
     for g in gs:
         if math.gcd(g, modulus) != 1:
             raise ValueError(f"{g} is not a unit mod {modulus}")
-    elems = orbit(1, gs, lambda x, g: x * g % modulus)
+    elems = orbit(1 % modulus, gs, lambda x, g: x * g % modulus)
     return _canonical(modulus, tuple(sorted(elems)))
 
 
@@ -209,19 +201,18 @@ def trivial_subgroup(modulus: int) -> UnitSubgroup:
 def cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
     """The cyclic subgroup generated by t mod `modulus`.  A non-unit raises
     ValueError before any walk, as its powers never return to 1."""
-    if modulus == 1:
-        return UnitSubgroup(1, (0,), 0)
     if math.gcd(t, modulus) != 1:
         raise ValueError(f"{t % modulus} is not a unit mod {modulus}")
     return _walk(t % modulus, modulus)[0]
 
 
 def _walk(t: int, modulus: int) -> tuple[UnitSubgroup, list[int]]:
-    """<t> for a unit t mod `modulus` > 1 and its generators, the t^j with
+    """<t> for a unit t mod `modulus` and its generators, the t^j with
     gcd(j, |t|) = 1; the least of them is the subgroup's generator."""
-    powers = [1]
+    one = 1 % modulus
+    powers = [one]
     y = t
-    while y != 1:
+    while y != one:
         powers.append(y)
         y = y * t % modulus
     k = len(powers)
@@ -233,10 +224,6 @@ def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
     """Image of the subgroup under reduction mod q (q must divide the modulus)."""
     if q < 1 or sub.modulus % q != 0:
         raise ValueError(f"{q} does not divide the modulus {sub.modulus}")
-    if q == 1:
-        return _canonical(1, (0,))
-    if sub.modulus == 1:
-        raise ValueError("cannot restrict the modulus-1 group to a larger modulus")
     return _canonical(q, tuple(sorted({x % q for x in sub.elements})))
 
 
@@ -259,16 +246,15 @@ def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSu
     d <= max_order of phi that no other such divisor is a multiple of.
     """
     bound = phi(modulus) if max_order is None else max_order
-    if modulus == 1:
-        return (_canonical(1, (0,)),) if bound >= 1 else ()
     small = [d for d in divisors(phi(modulus)) if d <= bound]
     tests = [d for d in small if not any(e != d and e % d == 0 for e in small)]
     found = []
     known: set[int] = set()
-    for t in range(1, modulus):
+    one = 1 % modulus
+    for t in range(modulus):
         if t in known or math.gcd(t, modulus) != 1:
             continue
-        if all(pow(t, d, modulus) != 1 for d in tests):
+        if all(pow(t, d, modulus) != one for d in tests):
             continue
         sub, gens = _walk(t, modulus)
         known.update(gens)

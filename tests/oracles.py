@@ -9,8 +9,9 @@ import math
 from itertools import islice
 
 from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
+from metacyclic.invariants import mcinv, sylow_presentation
 from metacyclic.numth import (UnitSubgroup, cyclic_subgroup, divisors, lcm,
-                              mult_order, orbit, phi, restrict, units)
+                              mult_order, orbit, p_part, phi, restrict, units, vp)
 from metacyclic.wedderburn import (FixedField, SimpleComponent, _coset_generator,
                                    fixed_field)
 
@@ -56,6 +57,47 @@ def derived_part(G: MetacyclicGroup, primes) -> Subgroup:
     that R = <t> in `mcinv` replaced."""
     d = G.derived_subgroup()
     return G.cyclic_subgroup(G.element_part(d.generator, primes))
+
+
+def ne_regime(G: MetacyclicGroup) -> tuple[str, int] | None:
+    """`analysis._ne_regime` with the 2-local shape read off the Sylow
+    2-subgroup's own tuple: (m, n, s) = (4, 2^nu, 2), nu >= 2, and delta
+    = <3> mod 4, where `_ne_regime` reads (mu, sigma, e) = (2, 1, -1)."""
+    inv, der = mcinv(G)
+    if 2 not in der.pi:
+        return None
+    sinv, _ = mcinv(sylow_presentation(G, 2))
+    nu = vp(sinv.n, 2)
+    if (sinv.m, sinv.n, sinv.s) != (4, 2 ** nu, 2) or nu < 2:
+        return None
+    if sinv.delta != cyclic_subgroup(3, 4):
+        return None
+    m2, n2 = p_part(inv.m, 2), p_part(inv.n, 2)
+    s2, r2, k2 = p_part(inv.s, 2), p_part(der.r, 2), p_part(der.k, 2)
+    if (der.eps == 1 and m2 == 2 ** (nu + 1) and n2 == 2 and k2 == 2
+            and s2 == 2 and r2 == 2 ** nu):
+        return ("split", nu)
+    if (der.eps == -1 and m2 == 4 and r2 == 4 and n2 == 2 ** nu
+            and s2 == 2 and k2 == 2):
+        return ("nonsplit", nu)
+    return None
+
+
+def scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:
+    """`analysis._scaled_sylow_generator` with b_p^(n_p) = a_p^e solved by
+    its own `dlog`, n_p taken from the tuple, where the fast path reads e
+    as the s of `sylow_presentation`."""
+    inv, _ = mcinv(G)
+    a_p = G.element_part(G.gen_a, (p,))
+    b_p = G.element_part(G.gen_b, (p,))
+    rel = G.power(b_p, p_part(inv.n, p))
+    if rel == G.identity:
+        return a_p
+    e = G.dlog(a_p, rel)
+    w, back = divmod(e, p_part(inv.s, p))
+    if back or w % p == 0:
+        raise InvariantError(f"b_p^n_p = a_p^{e} is not a_p^(s_p w), w a unit")
+    return G.power(a_p, w)
 
 
 def conjugacy_classes(G: MetacyclicGroup) -> tuple[frozenset, ...]:

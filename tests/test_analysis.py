@@ -28,9 +28,10 @@ from metacyclic.group import (
     cocyclic_subgroup_from_triple,
     cocyclic_triples,
 )
-from metacyclic.invariants import construct_group, mcinv, tuple_from_parts
+from metacyclic.invariants import construct_group, mcinv, tuple_from_parts, valid_tuples
 from metacyclic.numth import p_part
 from metacyclic.wedderburn import decomposition
+from oracles import ne_regime, scaled_sylow_generator
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -165,6 +166,33 @@ def test_uvt_basis_of_the_sylow_part() -> None:
 def test_uvt_requires_the_regime() -> None:
     with pytest.raises(ValueError):
         uvt_of(S3, 2)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_sylow_shortcuts_against_the_sylow_tuple_routes() -> None:
+    """`_ne_regime` (local_params) and `_scaled_sylow_generator` (the s of
+    `sylow_presentation`) against the routes through the Sylow subgroup's
+    own tuple and a `dlog`, on every class up to order 512 and every p in
+    pi of its canonical presentation."""
+    classes = shapes = pairs = 0
+    for inv in valid_tuples(512):
+        G = construct_group(inv)
+        got = analysis._ne_regime(G)
+        assert got == ne_regime(G), inv
+        classes += 1
+        shapes += got is not None
+        for p in mcinv(G)[1].pi:
+            assert _outcome(analysis._scaled_sylow_generator, G, p) == \
+                _outcome(scaled_sylow_generator, G, p), (inv, p)
+            pairs += 1
+    assert (classes, shapes, pairs) == (3326, 78, 5400)
 
 
 def test_normalizer_prediction_matches_group_computation() -> None:

@@ -186,7 +186,7 @@ def test_from_generators_and_restrict() -> None:
     assert restrict(sub, 8).elements == tuple(sorted({5 % 8, 7 % 8, 35 % 8, 1}))
     assert restrict(sub, 3).is_trivial is False or restrict(sub, 3).order >= 1
     # restriction maps onto residues, never invents new ones
-    for q in (2, 3, 4, 6, 8, 12):
+    for q in (1, 2, 3, 4, 6, 8, 12):
         r = restrict(sub, q)
         assert set(r.elements) == {x % q if q > 1 else 0 for x in sub.elements}
 
@@ -195,6 +195,13 @@ def test_trivial_subgroup_and_modulus_one() -> None:
     assert trivial_subgroup(7).elements == (1,)
     assert trivial_subgroup(1).elements == (0,)
     assert cyclic_subgroup(0, 1).is_trivial
+    one = trivial_subgroup(1)
+    assert from_generators(1, [0, 5]) == one
+    assert 7 in one
+    assert mult_order(5, 1) == 1
+    assert cyclic_subgroups(1, 0) == ()
+    assert cyclic_subgroups(1, 1) == (one,)
+    assert restrict(cyclic_subgroup(3, 16), 1) == one
 
 
 def test_cyclic_subgroups_are_exactly_the_cyclic_ones() -> None:
