@@ -82,10 +82,10 @@ def canonical_form(G: MetacyclicGroup) -> MetacyclicGroup:
 
 def a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, ...]:
     """Components whose center embeds in Q(zeta_{m_pi'}) and whose only
-    roots of unity are +-1."""
-    ambient = cyclotomic_field(m_pi_prime)
+    roots of unity are +-1.  Conductors are minimal and never 2 mod 4,
+    so a center embeds iff its conductor divides m_pi'."""
     return tuple(comp for comp in decomp
-                 if is_subfield(comp.center, ambient)
+                 if m_pi_prime % comp.center.conductor == 0
                  and roots_of_unity_order(comp.center) == 2)
 
 
@@ -307,11 +307,7 @@ def _uvt(GC: MetacyclicGroup, p: int) -> UVT:
 
 
 def _check_triple(uvt: UVT, p: int, triple: tuple[int, int, int]) -> None:
-    i, y, x = triple
-    ok = (i == 1 and uvt.v % y == 0 and 1 <= x <= y) or \
-         (i == 2 and uvt.u % y == 0 and y % p == 0 and x % p == 0
-          and 1 <= x <= y and (uvt.v * x) % y == 0)
-    if not ok:
+    if tuple(triple) not in cocyclic_triples(uvt.u, uvt.v, p):
         raise ValueError(f"{triple} does not parametrize a cocyclic subgroup")
 
 

@@ -24,6 +24,7 @@ from .numth import (
     divisors,
     from_generators,
     lcm,
+    mult_order,
     p_part,
     part,
     prime_factors,
@@ -117,7 +118,8 @@ def derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
     Restrictions of T are only observable modulo divisors of its own
     modulus; the search for r is capped there.  The cap never truncates
     a tuple coming from a group, because r always divides the canonical
-    modulus m'.
+    modulus m'.  Each restriction is read off the residues of T, which
+    need not be cyclic, without building the restricted subgroup.
     """
     cap = T.modulus
     r = 1
@@ -125,11 +127,8 @@ def derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
         good = 1
         for j in range(1, min(e, vp(cap, p)) + 1):
             q = p ** j
-            res = restrict(T, q)
-            if p == 2:
-                if any(x != 1 and x != q - 1 for x in res.elements):
-                    break
-            elif not res.is_trivial:
+            allowed = (1, q - 1) if p == 2 else (1,)
+            if any(x % q not in allowed for x in T.elements):
                 break
             good = q
         if p == 2:
@@ -139,9 +138,9 @@ def derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
         r *= good
     r2 = p_part(r, 2)
     q2 = math.gcd(r2, cap)
-    eps = -1 if q2 > 1 and not restrict(T, q2).is_trivial else 1
-    m_out = part(m, primes_of(m) - primes_of(r))
-    k = restrict(T, math.gcd(m_out, cap)).order
+    eps = -1 if any(x % q2 != 1 % q2 for x in T.elements) else 1
+    q = math.gcd(part(m, primes_of(m) - primes_of(r)), cap)
+    k = len({x % q for x in T.elements})
     return r, eps, k
 
 
@@ -353,7 +352,9 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
     Scans the units mod m in ascending order (0 is the unit mod 1) for
     an action exponent whose cyclic group restricts to delta on m' and
     to the prescribed local action at every prime of r, and which
-    satisfies the two presentation compatibility congruences.  The scan
+    satisfies the two presentation compatibility congruences.  Each
+    target T is cyclic, so <x mod q> = T for q its modulus iff x lies in
+    T with order |T| mod q, and no candidate builds a subgroup.  The scan
     stops at the first hit, which makes the output deterministic.
     """
     ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
@@ -362,22 +363,18 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
     m, n = inv.m, inv.n
     s_res = inv.s % m
     r, eps, _ = derive_rek(m, inv.delta)
-    local = {}
+    targets = [inv.delta]
     for p in sorted(primes_of(r)):
         m_p = p_part(m, p)
         e = eps if p == 2 else 1
-        local[m_p] = cyclic_subgroup((e + p_part(r, p)) % m_p, m_p)
+        targets.append(cyclic_subgroup((e + p_part(r, p)) % m_p, m_p))
     for x in range(m):
         if math.gcd(x, m) != 1 or pow(x, n, m) != 1 % m:
             continue
         if (s_res * (x - 1)) % m:
             continue
-        gen = cyclic_subgroup(x, m)
-        if restrict(gen, inv.m_prime) != inv.delta:
-            continue
-        if any(restrict(gen, q) != sub for q, sub in local.items()):
-            continue
-        return MetacyclicGroup(m, n, s_res, x)
+        if all(x in T and mult_order(x, T.modulus) == T.order for T in targets):
+            return MetacyclicGroup(m, n, s_res, x)
     raise InvariantError(f"validated tuple {inv} admits no action exponent")
 
 

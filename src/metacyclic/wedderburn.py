@@ -130,10 +130,11 @@ def galois_preimage(F: FixedField, modulus: int) -> UnitSubgroup:
 def is_subfield(F: FixedField, E: FixedField) -> bool:
     """Whether F embeds in E.  Conductors are minimal, so F lies in
     Q(zeta_E.conductor) iff F.conductor divides it; then F is inside E iff
-    everything fixing E fixes F, i.e. E's fixer restricts into F's."""
+    everything fixing E fixes F, i.e. E's fixer reduces into F's."""
     if E.conductor % F.conductor:
         return False
-    return set(restrict(E.fixer, F.conductor).elements) <= set(F.fixer.elements)
+    fix = set(F.fixer.elements)
+    return all(x % F.conductor in fix for x in E.fixer.elements)
 
 
 def intersect_cyclotomic(F: FixedField, c: int) -> FixedField:

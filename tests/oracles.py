@@ -9,11 +9,13 @@ import math
 from itertools import islice
 
 from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
-from metacyclic.invariants import mcinv, sylow_presentation
+from metacyclic.invariants import MCInv, derive_rek, mcinv, sylow_presentation
 from metacyclic.numth import (UnitSubgroup, cyclic_subgroup, divisors, lcm,
-                              mult_order, orbit, p_part, phi, restrict, units, vp)
+                              mult_order, orbit, p_part, part, phi, prime_factors,
+                              primes_of, restrict, units, vp)
 from metacyclic.wedderburn import (FixedField, SimpleComponent, _coset_generator,
-                                   fixed_field)
+                                   cyclotomic_field, fixed_field, is_subfield,
+                                   roots_of_unity_order)
 
 
 def coset_order(G: MetacyclicGroup, x: El, K: Subgroup) -> int:
@@ -49,6 +51,68 @@ def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup,
     n = G.order // A.order
     return next((G.order // B.order for B in reversed(cyclics)
                  if B.order % n == 0 and G.generates_quotient(B.generator, A, n)), None)
+
+
+def restricting_derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
+    """`derive_rek` with each level read off the subgroup `restrict`
+    builds, where the fast path reads the residues of T."""
+    cap = T.modulus
+    r = 1
+    for p, e in prime_factors(m):
+        good = 1
+        for j in range(1, min(e, vp(cap, p)) + 1):
+            q = p ** j
+            res = restrict(T, q)
+            if p == 2:
+                if any(x != 1 and x != q - 1 for x in res.elements):
+                    break
+            elif not res.is_trivial:
+                break
+            good = q
+        if p == 2:
+            good = max(good, min(p_part(m, 2), 4))
+        r *= good
+    q2 = math.gcd(p_part(r, 2), cap)
+    eps = -1 if q2 > 1 and not restrict(T, q2).is_trivial else 1
+    m_out = part(m, primes_of(m) - primes_of(r))
+    k = restrict(T, math.gcd(m_out, cap)).order
+    return r, eps, k
+
+
+def walking_construct_group(inv: MCInv) -> MetacyclicGroup:
+    """`construct_group` for a valid tuple by a walk of <x> mod m for each
+    candidate x, restricted to m' and to each m_p and compared there with
+    delta and the local actions, where the fast path tests x by its
+    membership and order mod each modulus."""
+    m, n = inv.m, inv.n
+    s_res = inv.s % m
+    r, eps, _ = derive_rek(m, inv.delta)
+    local = {}
+    for p in sorted(primes_of(r)):
+        m_p = p_part(m, p)
+        e = eps if p == 2 else 1
+        local[m_p] = cyclic_subgroup((e + p_part(r, p)) % m_p, m_p)
+    for x in range(m):
+        if math.gcd(x, m) != 1 or pow(x, n, m) != 1 % m:
+            continue
+        if (s_res * (x - 1)) % m:
+            continue
+        gen = cyclic_subgroup(x, m)
+        if restrict(gen, inv.m_prime) != inv.delta:
+            continue
+        if any(restrict(gen, q) != sub for q, sub in local.items()):
+            continue
+        return MetacyclicGroup(m, n, s_res, x)
+    raise InvariantError(f"validated tuple {inv} admits no action exponent")
+
+
+def subfield_a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, ...]:
+    """`a1a2_components` with each center tested by `is_subfield` against
+    Q(zeta_{m_pi'}), where the fast path reads the center's conductor."""
+    ambient = cyclotomic_field(m_pi_prime)
+    return tuple(comp for comp in decomp
+                 if is_subfield(comp.center, ambient)
+                 and roots_of_unity_order(comp.center) == 2)
 
 
 def derived_part(G: MetacyclicGroup, primes) -> Subgroup:

@@ -202,6 +202,9 @@ def test_normalizer_prediction_matches_group_computation() -> None:
         K = cocyclic_subgroup_from_triple(GC, uvt.g, uvt.h, triple)
         predicted = normalizer_of_K(GC, 3, triple)
         assert GC.normalizer(K).elems == predicted.elems, triple
+    for triple in ((1, 1, 2), (3, 1, 1), (2, 1, 1), (2, 9, 3)):
+        with pytest.raises(ValueError):
+            normalizer_of_K(GC, 3, triple)
 
 
 def test_regime_constructions_build_the_canonical_form_once(monkeypatch) -> None:

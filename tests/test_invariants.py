@@ -5,6 +5,7 @@ import math
 import pytest
 
 from metacyclic import invariants
+from metacyclic.analysis import a1a2_components
 from metacyclic.cli import consistent_presentations
 from metacyclic.group import InvariantError, MetacyclicGroup
 from metacyclic.invariants import (
@@ -22,8 +23,12 @@ from metacyclic.invariants import (
     valid_tuples,
     validate_tuple,
 )
-from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, divisors, trivial_subgroup
-from oracles import coset_order, derived_part, largest_cofactor_index
+from metacyclic.numth import (cyclic_subgroup, cyclic_subgroups, divisors, part,
+                              trivial_subgroup)
+from metacyclic.wedderburn import decomposition
+from oracles import (coset_order, derived_part, largest_cofactor_index,
+                     restricting_derive_rek, subfield_a1a2_components,
+                     walking_construct_group)
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -325,6 +330,41 @@ def test_construct_group_is_deterministic() -> None:
     assert construct_group(inv).key == construct_group(inv).key
     G = construct_group(inv)
     assert mcinv(G)[0] == inv
+
+
+def test_residue_predicates_against_the_restricting_routes() -> None:
+    """derive_rek and construct_group, which read residues, against the
+    routes that build, restrict and walk unit subgroups: on every tuple up
+    to order 512, and derive_rek also on the action of every consistent
+    presentation of order 64 on each of its normal cyclic subgroups, a
+    few of which are not cyclic.  a1a2_components, which divides by
+    conductors, against the filter by is_subfield on every class up to
+    order 128."""
+    tuples = valid_tuples(512)
+    for inv in tuples:
+        want = restricting_derive_rek(inv.m, inv.delta)
+        assert derive_rek.__wrapped__(inv.m, inv.delta) == want, inv
+        assert construct_group(inv).key == walking_construct_group(inv).key, inv
+    actions = not_cyclic = 0
+    for G in consistent_presentations(64):
+        if G.order != 64:
+            continue
+        for A in G.cyclic_subgroups():
+            if A.is_normal:
+                T = t_subgroup(G, A)
+                assert derive_rek.__wrapped__(A.order, T) == \
+                    restricting_derive_rek(A.order, T), (G, A)
+                actions += 1
+                not_cyclic += not T.is_cyclic
+    classes = 0
+    for inv in valid_tuples(128):
+        G = construct_group(inv)
+        m_pi_prime = part(inv.m, mcinv(G)[1].pi_prime)
+        decomp = decomposition(G)
+        assert a1a2_components(decomp, m_pi_prime) == \
+            subfield_a1a2_components(decomp, m_pi_prime), inv
+        classes += 1
+    assert (len(tuples), actions, not_cyclic, classes) == (3326, 1622, 4, 554)
 
 
 def test_m_prime_of_matches_published_tuples() -> None:
