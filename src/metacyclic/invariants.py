@@ -294,7 +294,7 @@ def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     delta, r, eps, k = seen.pop()
     pi_prime = tuple(sorted(primes_of(m) - primes_of(r)))
     pi = tuple(sorted(primes_of(G.order) - set(pi_prime)))
-    R = from_generators(part(G.m // math.gcd(G.t - 1, G.m), pi_prime), [G.t])
+    R = cyclic_subgroup(G.t, part(G.m // math.gcd(G.t - 1, G.m), pi_prime))
     if R.modulus != part(m, pi_prime):
         raise InvariantError(f"R of {G!r} has modulus {R.modulus}, "
                              f"expected {part(m, pi_prime)}")

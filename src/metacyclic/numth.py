@@ -153,6 +153,10 @@ class UnitSubgroup:
 
 @lru_cache(maxsize=None)
 def _canonical(modulus: int, elements: tuple[int, ...]) -> UnitSubgroup:
+    """The one constructor of `UnitSubgroup`: every subgroup of the units
+    mod `modulus` is interned here, keyed by its sorted residues, so each
+    distinct subgroup is built once.  Its generator is the least residue
+    of full order, found by one scan, or None when there is none."""
     k = len(elements)
     gen = None
     for x in elements:
@@ -166,9 +170,10 @@ def orbit(start, gens, act) -> set:
     """Closure of {start} under x -> act(x, g) for every g in gens.
 
     The one breadth-first closure of the package, behind unit subgroups
-    mod n and the conjugation orbits of subgroups.  Subgroups of a
-    metacyclic group are never closed this way; the tests use it as the
-    oracle for their canonical triples, and to close conjugacy classes.
+    of several generators mod n and the conjugation orbits of subgroups.
+    A cyclic unit subgroup is the walk of `_powers` instead.  Subgroups
+    of a metacyclic group are never closed this way; the tests use it as
+    the oracle for their canonical triples, and to close conjugacy classes.
     """
     seen = {start}
     frontier = [start]
@@ -195,29 +200,28 @@ def from_generators(modulus: int, gens) -> UnitSubgroup:
 
 
 def trivial_subgroup(modulus: int) -> UnitSubgroup:
-    return from_generators(modulus, [])
+    return cyclic_subgroup(1, modulus)
 
 
-def cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
-    """The cyclic subgroup generated by t mod `modulus`.  A non-unit raises
-    ValueError before any walk, as its powers never return to 1."""
-    if math.gcd(t, modulus) != 1:
-        raise ValueError(f"{t % modulus} is not a unit mod {modulus}")
-    return _walk(t % modulus, modulus)[0]
-
-
-def _walk(t: int, modulus: int) -> tuple[UnitSubgroup, list[int]]:
-    """<t> for a unit t mod `modulus` and its generators, the t^j with
-    gcd(j, |t|) = 1; the least of them is the subgroup's generator."""
+def _powers(t: int, modulus: int) -> list[int]:
+    """The powers t^0, t^1, ..., t^(|t| - 1) of a unit t mod `modulus`,
+    in that order."""
     one = 1 % modulus
     powers = [one]
     y = t
     while y != one:
         powers.append(y)
         y = y * t % modulus
-    k = len(powers)
-    gens = [powers[j] for j in range(k) if math.gcd(j, k) == 1]
-    return UnitSubgroup(modulus, tuple(sorted(powers)), min(gens)), gens
+    return powers
+
+
+def cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
+    """The cyclic subgroup generated by t mod `modulus`, interned by
+    `_canonical` from the powers of t.  A non-unit raises ValueError
+    before any walk, as its powers never return to 1."""
+    if math.gcd(t, modulus) != 1:
+        raise ValueError(f"{t % modulus} is not a unit mod {modulus}")
+    return _canonical(modulus, tuple(sorted(_powers(t % modulus, modulus))))
 
 
 def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
@@ -239,9 +243,10 @@ def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSu
     """The cyclic subgroups of the units mod `modulus` of order at most
     `max_order` (all of them when it is None), sorted.
 
-    Each subgroup is walked once by `_walk`, from its least generator t,
-    and its other generators are skipped afterwards.  A unit whose order
-    exceeds the bound is passed over by a few powers: its order divides
+    Each subgroup is walked once by `_powers`, from its least generator t,
+    and interned by `_canonical`; its other generators, the t^j with
+    gcd(j, |t|) = 1, are skipped afterwards.  A unit whose order exceeds
+    the bound is passed over by a few powers: its order divides
     phi(modulus), so it is at most `max_order` iff t^d = 1 for a divisor
     d <= max_order of phi that no other such divisor is a multiple of.
     """
@@ -256,9 +261,10 @@ def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSu
             continue
         if all(pow(t, d, modulus) != one for d in tests):
             continue
-        sub, gens = _walk(t, modulus)
-        known.update(gens)
-        found.append(sub)
+        powers = _powers(t, modulus)
+        k = len(powers)
+        known.update(powers[j] for j in range(k) if math.gcd(j, k) == 1)
+        found.append(_canonical(modulus, tuple(sorted(powers))))
     return tuple(sorted(found))
 
 
@@ -268,10 +274,6 @@ def crt_exponent(order: int, primes) -> int:
     extracts its `primes`-part."""
     a = part(order, primes)
     b = order // a
-    if a == 1:
-        return 0
-    if b == 1:
-        return 1
     # e = b * (b^{-1} mod a)
     return b * pow(b, -1, a)
 

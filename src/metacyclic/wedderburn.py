@@ -405,11 +405,8 @@ def _character(G: MetacyclicGroup, c: int, e: int, f: int, e0: int) -> tuple[int
     return gamma, (alpha * k - beta) % (alpha * gamma)
 
 
-_Centers = dict[tuple[int, int], tuple[UnitSubgroup, FixedField]]
-
-
-def _component(G: MetacyclicGroup, c: int, e: int, f: int, e0: int, f_N: int,
-               centers: _Centers) -> SimpleComponent:
+def _component(G: MetacyclicGroup, c: int, e: int, f: int, e0: int,
+               f_N: int) -> SimpleComponent:
     """Descriptor of the simple algebra attached to the strong Shoda pair
     (L, K) = (<a, b^e0>, <a^c, a^e b^f>) whose class of K has size f_N.
 
@@ -430,9 +427,6 @@ def _component(G: MetacyclicGroup, c: int, e: int, f: int, e0: int, f_N: int,
     action of w to that of g w g^-1, which differs from w by an element
     of G' <= L acting trivially on the abelian L/K.  So x, the center and
     the degrees do not depend on the conjugate.
-
-    `centers` maps (idx, x) to the action subgroup <x> mod idx and its
-    fixed field; the caller owns it and keeps it for one decomposition.
     """
     idx = c * f // e0
     p, q = _character(G, c, e, f, e0)
@@ -445,12 +439,10 @@ def _component(G: MetacyclicGroup, c: int, e: int, f: int, e0: int, f_N: int,
         y = (p * b_e0[0] + q * (b_e0[1] // e0)) * inv % idx
     else:
         y = 0
-    if idx > 1 and math.gcd(x, idx) != 1:
+    if math.gcd(x, idx) != 1:
         raise InvariantError("conjugation must act by a unit")
-    if (idx, x) not in centers:
-        action = cyclic_subgroup(x, idx)
-        centers[idx, x] = action, fixed_field(idx, action)
-    action, center = centers[idx, x]
+    action = cyclic_subgroup(x, idx)
+    center = fixed_field(idx, action)
 
     total_degree = e0  # [G:L]
     if total_degree != f_N * action.order:
@@ -474,7 +466,7 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     e0 = mult_order(G.t, c)
     if f % e0 or L != G.l_subgroup(e0) or not _cyclic_quotient(G, c, e, f, e0):
         raise ValueError("(L, K) is not a strong Shoda pair of G")
-    return _component(G, c, e, f, e0, len(_class_of(G, c, e)), {})
+    return _component(G, c, e, f, e0, len(_class_of(G, c, e)))
 
 
 # Only the group being checked reuses its answer; more would keep a sweep alive.
@@ -482,10 +474,10 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
 def decomposition(G: MetacyclicGroup) -> tuple[SimpleComponent, ...]:
     """All Wedderburn components of the rational group algebra of G,
     sorted by (dimension, degree, conductor, action, twist): one
-    `_component` per class of `_shoda_classes`, sharing one table of
-    centers."""
-    centers: _Centers = {}
-    comps = [_component(G, *cls, centers) for cls in _shoda_classes(G)]
+    `_component` per class of `_shoda_classes`.  Components with the same
+    action share one interned subgroup, so `fixed_field` builds each
+    center once."""
+    comps = [_component(G, *cls) for cls in _shoda_classes(G)]
     comps.sort(key=SimpleComponent.sort_key)
     total = sum(c.q_dimension for c in comps)
     if total != G.order:

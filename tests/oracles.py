@@ -53,6 +53,21 @@ def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup,
                  if B.order % n == 0 and G.generates_quotient(B.generator, A, n)), None)
 
 
+def walked_cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
+    """<t> for a unit t mod `modulus` by a walk of its powers, not interned:
+    the sorted powers, and as generator the least t^j with gcd(j, |t|) = 1,
+    where `cyclic_subgroup` takes the least residue of full order."""
+    one = 1 % modulus
+    powers = [one]
+    y = t % modulus
+    while y != one:
+        powers.append(y)
+        y = y * t % modulus
+    k = len(powers)
+    gen = min(powers[j] for j in range(k) if math.gcd(j, k) == 1)
+    return UnitSubgroup(modulus, tuple(sorted(powers)), gen)
+
+
 def restricting_derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:
     """`derive_rek` with each level read off the subgroup `restrict`
     builds, where the fast path reads the residues of T."""

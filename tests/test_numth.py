@@ -29,6 +29,7 @@ from metacyclic.numth import (
     units,
     vp,
 )
+from oracles import walked_cyclic_subgroup
 
 
 def test_prime_factors_reconstruct() -> None:
@@ -216,17 +217,30 @@ def test_cyclic_subgroups_are_exactly_the_cyclic_ones() -> None:
 
 
 def test_cyclic_subgroup_matches_the_closure_of_its_generator() -> None:
-    """The power walk of `cyclic_subgroup` against the orbit closure of
-    `from_generators`, generator included, for every unit mod n <= 300."""
+    """`cyclic_subgroup` against the power walk of the oracle, generator
+    included, for every unit mod n <= 300; it is the very subgroup that
+    the orbit closure of `from_generators` interns."""
     for modulus in range(1, 301):
         for t in units(modulus):
-            assert cyclic_subgroup(t, modulus) == from_generators(modulus, [t]), (t, modulus)
+            sub = cyclic_subgroup(t, modulus)
+            assert sub == walked_cyclic_subgroup(t, modulus), (t, modulus)
+            assert sub is from_generators(modulus, [t]), (t, modulus)
+        assert trivial_subgroup(modulus) is cyclic_subgroup(1, modulus)
     assert cyclic_subgroup(19, 16) == cyclic_subgroup(3, 16)
     with pytest.raises(ValueError, match="not a unit"):
         cyclic_subgroup(2, 8)
 
 
 def test_crt_exponent_hits_prescribed_parts() -> None:
+    """For every order <= 512 and every set of its primes, e = 1 mod the
+    primes' part a, e = 0 mod order / a, and 0 <= e < order."""
+    for order in range(1, 513):
+        primes = sorted(primes_of(order))
+        for mask in range(1 << len(primes)):
+            chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+            a = part(order, chosen)
+            e = crt_exponent(order, chosen)
+            assert 0 <= e < order and e % a == 1 % a and e % (order // a) == 0, (order, chosen)
     e = crt_exponent(360, (2, 3))
     # e kills the coprime part and is 1 on the (2,3)-part
     assert e % 8 == 1 and e % 9 == 1 and e % 5 == 0
