@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import (
@@ -355,6 +354,10 @@ def run_checks(names: tuple[str, ...], max_order: int,
         items = [(inv, group_names) for inv in valid_tuples(max_order)]
         workers = min(jobs, _cpus_available(), len(items))
         if workers > 1:
+            # Imported here: the pool loads multiprocessing, which a
+            # one-process run never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, len(items) // (workers * 8))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_group_work, items, chunksize=chunk))

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from typing import Iterable
 
-from .numth import (InvariantError, crt_exponent, divisors, orbit, part,
+from .numth import (InvariantError, crt_exponent, divisors, lcm, orbit, part,
                     prime_factors, primes_of)
 
 El = tuple[int, int]
@@ -178,36 +178,42 @@ class MetacyclicGroup:
 
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, one per canonical triple, by (order, triple)."""
-        return self._lattice()
+        return tuple(self._lattice())
+
+    def _power_sums(self):
+        """(f, S, s0) for each f | n: with x = a^e b^f and N = n/f, S is the
+        sum of t^(f l) over l < N and s0 = s for f < n, 0 for f = n, so
+        x^N = a^(e S + s0).  Two `power` calls per f give S and s0."""
+        n = self.n
+        for f in divisors(n):
+            N = n // f
+            s0 = self.power((0, f % n), N)[0]
+            yield f, self.power((1, f % n), N)[0] - s0, s0
 
     def _canonical_blocks(self, over: int = 0):
         """(c, f, es) for each f | n and c | gcd(m, over) with a canonical
         triple (c, e, f), es the range of its e.  c | over says that the
-        subgroups contain a^over; over = 0 keeps every c.  With x = a^e b^f,
-        N = n/f, S = sum of t^(f l) over l < N and s0 = s for f < n, 0 for
-        f = n, x^N = a^(e S + s0), so (c, e, f) is canonical iff
-        e S = -s0 mod c.  With d = gcd(S, c), no e solves it unless d | s0,
-        and then the e < c are e0 + k c/d, e0 solving it mod c/d; two
-        `power` calls per f give S and s0."""
-        m, n = self.m, self.n
-        for f in divisors(n):
-            N = n // f
-            s0 = self.power((0, f % n), N)[0]
-            S = self.power((1, f % n), N)[0] - s0
-            for c in divisors(math.gcd(m, over)):
+        subgroups contain a^over; over = 0 keeps every c.  By
+        `_power_sums`, (c, e, f) is canonical iff e S = -s0 mod c.  With
+        d = gcd(S, c), no e solves it unless d | s0, and then the e < c
+        are e0 + k c/d, e0 solving it mod c/d."""
+        for f, S, s0 in self._power_sums():
+            for c in divisors(math.gcd(self.m, over)):
                 d = math.gcd(S, c)
                 if s0 % d == 0:
                     step = c // d
                     e0 = -s0 // d * pow(S // d, -1, step) % step
                     yield c, f, range(e0, c, step)
 
-    def _lattice(self, over: int = 0) -> tuple["Subgroup", ...]:
+    def _lattice(self, over: int = 0):
         """The subgroups of the canonical triples of
-        `_canonical_blocks(over)`, sorted by (order, triple)."""
+        `_canonical_blocks(over)`, by (order, triple).  The triples are
+        sorted first, and each `Subgroup` is built only when the caller
+        reaches it."""
         m, n = self.m, self.n
         rows = sorted((m // c * (n // f), c, e, f)
                       for c, f, es in self._canonical_blocks(over) for e in es)
-        return tuple(Subgroup(self, c, e, f) for _, c, e, f in rows)
+        return (Subgroup(self, c, e, f) for _, c, e, f in rows)
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""
@@ -280,6 +286,15 @@ class MetacyclicGroup:
         d1 = math.gcd(g, math.gcd(self.s, self.n))
         d2 = g * self.n // d1
         return tuple(d for d in (d1, d2) if d > 1)
+
+    def exponent(self) -> int:
+        """The lcm of the element orders.  Every cyclic subgroup has a
+        generator a^e b^f with f | n (`Subgroup.generator`), of order
+        N m / gcd(e S + s0, m) by `_power_sums`; over e these orders have
+        lcm N m / gcd(S, s0, m)."""
+        m, n = self.m, self.n
+        return lcm(*(n // f * m // math.gcd(S, s0, m)
+                     for f, S, s0 in self._power_sums()))
 
     def order_table(self) -> dict[El, int]:
         """Element -> order, in the order of `elements`."""

@@ -23,7 +23,6 @@ from .numth import (
     cyclic_subgroups,
     divisors,
     from_generators,
-    lcm,
     mult_order,
     p_part,
     part,
@@ -244,10 +243,11 @@ def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> tuple[int, UnitSubgroup]
     tau + ... + tau^(q-1) mod |A|, every x = beta^u alpha^j with
     gcd(u, q) = 1 maps onto G/A and has x^q = alpha^(u sigma + j Sigma),
     so |<x>| = q |A| / gcd(u sigma + j Sigma, |A|), and the least gcd,
-    taken at u = 1, is gcd(sigma, Sigma, |A|) = [G:B].  (beta alpha)^q =
-    alpha^(sigma + Sigma), so Sigma comes from one more `power`, whose
-    closed form sums the geometric series.  A is abelian, so the action
-    of G on A factors through the cyclic G/A, and T = <tau>.
+    taken at u = 1, is gcd(sigma, Sigma, |A|) = [G:B].  Sigma is read
+    from tau by the closed form of `MetacyclicGroup.power`: q if tau = 1
+    mod |A|, else (r - 1) // (tau - 1) for r = tau^q mod |A| (tau - 1);
+    so two `dlog` calls, for tau and sigma, give [G:B].  A is abelian, so
+    the action of G on A factors through the cyclic G/A, and T = <tau>.
     """
     c, e, f = A.triple
     e1 = e if f < G.n else -G.s
@@ -259,9 +259,14 @@ def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> tuple[int, UnitSubgroup]
     x = math.prod(p for p, _ in prime_factors(c) if e1 % p and f % p)
     beta = G.mul((x % G.m, 0), G.gen_b)
     q = c * f
-    sigma = G.dlog(alpha, G.power(beta, q))
-    s = math.gcd(sigma, G.dlog(alpha, G.power(G.mul(beta, alpha), q)), A.order)
-    return s, cyclic_subgroup(G.dlog(alpha, G.conj(alpha, beta)), A.order)
+    M = A.order
+    tau = G.dlog(alpha, G.conj(alpha, beta))
+    if tau == 1 % M:
+        Sigma = q
+    else:
+        Sigma = (pow(tau, q, M * (tau - 1)) - 1) // (tau - 1)
+    s = math.gcd(G.dlog(alpha, G.power(beta, q)), Sigma, M)
+    return s, cyclic_subgroup(tau, M)
 
 
 def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -349,32 +354,39 @@ def validate_tuple(m: int, n: int, s: int,
 def construct_group(inv: MCInv) -> MetacyclicGroup:
     """Canonical presentation realizing a valid classifying tuple.
 
-    Scans the units mod m in ascending order (0 is the unit mod 1) for
-    an action exponent whose cyclic group restricts to delta on m' and
-    to the prescribed local action at every prime of r, and which
-    satisfies the two presentation compatibility congruences.  Each
-    target T is cyclic, so <x mod q> = T for q its modulus iff x lies in
-    T with order |T| mod q, and no candidate builds a subgroup.  The scan
-    stops at the first hit, which makes the output deterministic.
+    Finds the least action exponent x < m whose cyclic group restricts to
+    delta on m' and to the prescribed local action at every prime of r,
+    and which satisfies the two presentation compatibility congruences
+    (x^n = 1 mod m, and s (x - 1) = 0 mod m, i.e. x = 1 mod m / gcd(s, m)).
+    Each target T is cyclic, so <x mod q> = T for q its modulus iff x lies
+    in T with order |T| mod q, and no candidate builds a subgroup.  So x
+    mod m' is a generator g of delta, and the candidates are the lifts
+    base + g, base stepping by m' and g running over the generators of
+    delta in increasing order; the first that passes the other tests is
+    the least x, which makes the output deterministic.  (0 is the unit
+    mod 1, the generator of delta when m' = 1.)
     """
     ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
     if not ok:
         raise ValueError("tuple is not realizable: " + "; ".join(reasons))
-    m, n = inv.m, inv.n
+    m, n, mp, delta = inv.m, inv.n, inv.m_prime, inv.delta
     s_res = inv.s % m
-    r, eps, _ = derive_rek(m, inv.delta)
-    targets = [inv.delta]
+    s_step = m // math.gcd(s_res, m)
+    r, eps, _ = derive_rek(m, delta)
+    targets = []
     for p in sorted(primes_of(r)):
         m_p = p_part(m, p)
         e = eps if p == 2 else 1
         targets.append(cyclic_subgroup((e + p_part(r, p)) % m_p, m_p))
-    for x in range(m):
-        if math.gcd(x, m) != 1 or pow(x, n, m) != 1 % m:
-            continue
-        if (s_res * (x - 1)) % m:
-            continue
-        if all(x in T and mult_order(x, T.modulus) == T.order for T in targets):
-            return MetacyclicGroup(m, n, s_res, x)
+    d = delta.order
+    gens = sorted(pow(delta.generator, k, mp) for k in range(d) if math.gcd(k, d) == 1)
+    for base in range(0, m, mp):
+        for g in gens:
+            x = base + g
+            if (x - 1) % s_step or math.gcd(x, m) != 1 or pow(x, n, m) != 1 % m:
+                continue
+            if all(x in T and mult_order(x, T.modulus) == T.order for T in targets):
+                return MetacyclicGroup(m, n, s_res, x)
     raise InvariantError(f"validated tuple {inv} admits no action exponent")
 
 
@@ -457,28 +469,33 @@ def _admissible_n(per_prime, s: int, eps: int, d: int, r: int, n_max: int) -> li
 def sylow_presentation(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
     """The Sylow p-subgroup of G as a standalone group.
 
-    <a_p, b_p> is a Sylow p-subgroup whenever p lies in pi; the local
-    relations are read off by discrete logarithms inside <a_p>.  The
-    classifying tuple of the result is computed downstream from the
-    subgroup's own minimal factorization, so nothing depends on the
-    ambient factorization being minimal.
+    <a_p, b_p> is a Sylow p-subgroup whenever p lies in pi, for a_p and
+    b_p the p-parts of a and b.  a_p = a^u with u = 1 mod m_p and
+    u = 0 mod m/m_p, so a_p^k = a^z exactly when k = z mod m_p and
+    (m/m_p) | z; the local relations are read off that way.  With
+    b_p = a^i b^j, b_p^-1 a_p b_p = a_p^(t^-j), so t_loc = t^-j mod m_p,
+    and b_p^(n_p) = a^z gives s_loc = z mod m_p.  The classifying tuple of
+    the result is computed downstream from the subgroup's own minimal
+    factorization, so nothing depends on the ambient factorization being
+    minimal.
     """
     m_p, n_p = p_part(G.m, p), p_part(G.n, p)
-    ap = G.element_part(G.gen_a, (p,))
-    bp = G.element_part(G.gen_b, (p,))
-    s_loc = G.dlog(ap, G.power(bp, n_p))
-    t_loc = G.dlog(ap, G.conj(ap, bp))
-    return MetacyclicGroup(m_p, n_p, s_loc, t_loc)
+    b_p = G.element_part(G.gen_b, (p,))
+    z, w = G.power(b_p, n_p)
+    if w or z % (G.m // m_p):
+        raise InvariantError(f"b_p^n_p = {(z, w)} does not lie in <a_p> in {G!r}")
+    return MetacyclicGroup(m_p, n_p, z % m_p, pow(G.t, -b_p[1], m_p))
+
+
+def _sylow_params(P: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
+    """(mu, nu, sigma, rho, e) of the tuple of a p-group P."""
+    sinv, sder = mcinv(P)
+    return vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p), vp(sder.r, p), sder.eps
 
 
 def local_params(G: MetacyclicGroup, p: int) -> tuple[int, int, int, int, int]:
     """(mu, nu, sigma, rho, e) of the Sylow p-subgroup's own tuple."""
-    sinv, sder = mcinv(sylow_presentation(G, p))
-    return vp(sinv.m, p), vp(sinv.n, p), vp(sinv.s, p), vp(sder.r, p), sder.eps
-
-
-def _exponent(G: MetacyclicGroup) -> int:
-    return lcm(*(d for d, _ in G.order_profile()))
+    return _sylow_params(sylow_presentation(G, p), p)
 
 
 def check_entry(check: str, ok: bool, lhs, rhs) -> dict:
@@ -512,7 +529,8 @@ def sylow_mcinv_consistency(G: MetacyclicGroup, p: int) -> list[dict]:
     inv, der = mcinv(G)
     if p not in der.pi:
         raise ValueError(f"{p} does not lie in pi for this group")
-    mu, nu, sigma, rho, e = local_params(G, p)
+    P = sylow_presentation(G, p)
+    mu, nu, sigma, rho, e = _sylow_params(P, p)
     m_p, n_p, s_p = p_part(inv.m, p), p_part(inv.n, p), p_part(inv.s, p)
     r_p, k_p, eps = p_part(der.r, p), p_part(der.k, p), der.eps
 
@@ -553,7 +571,7 @@ def sylow_mcinv_consistency(G: MetacyclicGroup, p: int) -> list[dict]:
             chk("3a: p = 2, e = 1 force eps = 1", eps == 1, eps, 1)
         chk("3b: m_p / r_p = p^(mu-rho)", m_p // r_p == p ** (mu - rho),
             m_p // r_p, p ** (mu - rho))
-        expo = _exponent(sylow_presentation(G, p))
+        expo = P.exponent()
         chk("3b: exponent = m_p n_p / s_p", expo == m_p * n_p // s_p,
             expo, m_p * n_p // s_p)
         chk("3b: exponent = p^(mu+nu-sigma)", expo == p ** (mu + nu - sigma),

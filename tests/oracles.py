@@ -281,3 +281,15 @@ def scan_roots_of_unity_order(F: FixedField) -> int:
     two = d0 & -d0
     a_part = max((f for f in divisors(two) if fixes(f)), default=1)
     return 2 * e * max(a_part // 2, 1)
+
+
+def element_sylow_presentation(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
+    """`sylow_presentation` read off the elements a_p and b_p: s_loc and
+    t_loc are the `dlog`s of b_p^(n_p) and of b_p^-1 a_p b_p to the base
+    a_p, where the fast path reads them off the exponents of a and b."""
+    m_p, n_p = p_part(G.m, p), p_part(G.n, p)
+    ap = G.element_part(G.gen_a, (p,))
+    bp = G.element_part(G.gen_b, (p,))
+    s_loc = G.dlog(ap, G.power(bp, n_p))
+    t_loc = G.dlog(ap, G.conj(ap, bp))
+    return MetacyclicGroup(m_p, n_p, s_loc, t_loc)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 
 from metacyclic import cli, invariants
 from metacyclic.cli import CHECK_NAMES, RunConfig, main
+from metacyclic.group import MetacyclicGroup
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -210,10 +212,34 @@ def test_jobs_are_capped_at_the_available_cpus(monkeypatch) -> None:
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     findings, summaries = cli.run_checks(("roundtrip",), 16, jobs=10**6)
     assert all(w <= os.cpu_count() for w in recorded)
     assert findings == [] and summaries[0]["lhs"] == len(invariants.valid_tuples(16))
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded() -> None:
+    """`run_checks` imports the process pool only when it starts workers,
+    so a one-process run does not load `multiprocessing`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, metacyclic.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_the_sweep_builds_no_order_table(monkeypatch) -> None:
+    """Every check but iso-oracle reads element orders in closed form:
+    the sweep up to 128 passes with `order_table` patched to raise."""
+    def refuse(self):
+        raise AssertionError(f"order_table of {self!r}")
+
+    monkeypatch.setattr(MetacyclicGroup, "order_table", refuse)
+    names = tuple(name for name in CHECK_NAMES if name != "iso-oracle")
+    findings, summaries = cli.run_checks(names, 128)
+    assert all(f["status"] != "fail" for f in findings)
+    assert [s["status"] for s in summaries] == ["pass"] * len(names)
 
 
 def test_verify_rejects_unknown_check(capsys) -> None:

@@ -134,6 +134,17 @@ def test_order_profiles() -> None:
     assert D8.order_profile() == ((1, 1), (2, 5), (4, 2))
 
 
+def test_exponent_against_the_order_profile() -> None:
+    """The closed form of `exponent`, from the per-f sums S and s0 of the
+    lattice, against the lcm of the element orders of `order_profile`, on
+    every consistent presentation up to order 64."""
+    checked = 0
+    for G in consistent_presentations(64):
+        assert G.exponent() == math.lcm(*(d for d, _ in G.order_profile())), G
+        checked += 1
+    assert checked == 3786
+
+
 def test_subgroup_enumeration_counts() -> None:
     assert len(S3.subgroups()) == 6
     assert len(Q8.subgroups()) == 6

@@ -24,11 +24,11 @@ from metacyclic.invariants import (
     validate_tuple,
 )
 from metacyclic.numth import (cyclic_subgroup, cyclic_subgroups, divisors, part,
-                              trivial_subgroup)
+                              primes_of, trivial_subgroup)
 from metacyclic.wedderburn import decomposition
-from oracles import (coset_order, derived_part, largest_cofactor_index,
-                     restricting_derive_rek, subfield_a1a2_components,
-                     walking_construct_group)
+from oracles import (coset_order, derived_part, element_sylow_presentation,
+                     largest_cofactor_index, restricting_derive_rek,
+                     subfield_a1a2_components, walking_construct_group)
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -380,6 +380,22 @@ def test_sylow_presentation_orders() -> None:
     assert S2.order == 8
     S3 = sylow_presentation(G, 3)
     assert S3.order == 3
+
+
+def test_sylow_presentation_against_the_element_route() -> None:
+    """The closed form of `sylow_presentation`, read off the exponents of
+    a and b, against the `dlog`s of b_p^(n_p) and of b_p^-1 a_p b_p to the
+    base a_p, for every prime p of |G| and every G among the consistent
+    presentations up to order 64 and the classes up to order 512."""
+    groups = consistent_presentations(64) + [construct_group(inv)
+                                             for inv in valid_tuples(512)]
+    checked = 0
+    for G in groups:
+        for p in sorted(primes_of(G.order)):
+            assert sylow_presentation(G, p).key == \
+                element_sylow_presentation(G, p).key, (G, p)
+            checked += 1
+    assert checked == 14804
 
 
 def test_sylow_consistency_all_pass_on_samples() -> None:
