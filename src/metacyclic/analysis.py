@@ -153,20 +153,19 @@ def count_B(G: MetacyclicGroup) -> int:
 
 def _ne_regime(G: MetacyclicGroup) -> tuple[str, int] | None:
     """Shape and nu when the 2-local structure matches the counting
-    argument's two group shapes; None otherwise."""
+    argument's two group shapes; None otherwise.  Both shapes have
+    s_2 = k_2 = 2, which the global tuple decides, so the Sylow
+    2-subgroup is classified only once those hold."""
     inv, der = mcinv(G)
-    if 2 not in der.pi:
+    if 2 not in der.pi or p_part(inv.s, 2) != 2 or p_part(der.k, 2) != 2:
         return None
     mu, nu, sigma, _, e = local_params(G, 2)
     if (mu, sigma, e) != (2, 1, -1) or nu < 2:
         return None
-    m2, n2 = p_part(inv.m, 2), p_part(inv.n, 2)
-    s2, r2, k2 = p_part(inv.s, 2), p_part(der.r, 2), p_part(der.k, 2)
-    if (der.eps == 1 and m2 == 2 ** (nu + 1) and n2 == 2 and k2 == 2
-            and s2 == 2 and r2 == 2 ** nu):
+    m2, n2, r2 = p_part(inv.m, 2), p_part(inv.n, 2), p_part(der.r, 2)
+    if der.eps == 1 and m2 == 2 ** (nu + 1) and n2 == 2 and r2 == 2 ** nu:
         return ("split", nu)
-    if (der.eps == -1 and m2 == 4 and r2 == 4 and n2 == 2 ** nu
-            and s2 == 2 and k2 == 2):
+    if der.eps == -1 and m2 == 4 and r2 == 4 and n2 == 2 ** nu:
         return ("nonsplit", nu)
     return None
 
@@ -231,18 +230,22 @@ def regime_U(G: MetacyclicGroup, p: int) -> bool:
     """Literal standing assumptions of the degree-l counting argument.
 
     Conservative: any failed clause excludes the group from the formula
-    rather than guessing.
+    rather than guessing.  The clauses on the global tuple (p in pi,
+    eps = 1, k_p > 1) are tested before the Sylow p-subgroup is
+    classified for the local ones.
     """
     inv, der = mcinv(G)
     if p not in der.pi:
         return False
-    mu, nu, sigma, rho, e = local_params(G, p)
-    if e != 1 or der.eps != 1:
-        return False
     k_p = p_part(der.k, p)
+    if der.eps != 1 or k_p == 1:
+        return False
+    mu, nu, sigma, rho, e = local_params(G, p)
+    if e != 1:
+        return False
     n_p, s_p = p_part(inv.n, p), p_part(inv.s, p)
     l_p = max(k_p, p ** (mu - rho))
-    if not (k_p > 1 and 0 < mu <= 2 * rho and 1 <= rho == sigma < nu):
+    if not (0 < mu <= 2 * rho and 1 <= rho == sigma < nu):
         return False
     if not (l_p < p ** nu and s_p == p ** rho and max(l_p, p ** rho) <= n_p):
         return False

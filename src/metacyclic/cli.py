@@ -4,8 +4,8 @@ Subcommands: enumerate (classification table), mcinv (classify a
 presentation), construct (presentation from a classifying tuple),
 wedderburn (rational group algebra decomposition), isoq (isomorphism
 query for groups and algebras side by side), verify (the property-check
-suite).  Data goes to stdout, progress to stderr; output bytes are
-independent of --jobs.
+suite).  Data goes to stdout; stderr carries only errors and the
+`[verify]` summary lines.  Output bytes are independent of --jobs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .invariants import (
     construct_group,
     isomorphic,
     mcinv,
+    realize,
     sylow_mcinv_consistency,
     tuple_from_parts,
     valid_tuples,
@@ -112,8 +113,9 @@ def _tuple_row(inv: MCInv, G: MetacyclicGroup) -> dict:
 
 
 def cmd_enumerate(cfg: RunConfig) -> list[dict]:
-    """One row per isomorphism class, sorted by the classifying tuple."""
-    return [_tuple_row(inv, construct_group(inv))
+    """One row per isomorphism class, sorted by the classifying tuple.
+    `valid_tuples` has validated every tuple, so each is only realized."""
+    return [_tuple_row(inv, realize(inv))
             for inv in valid_tuples(cfg.max_order)]
 
 
@@ -286,9 +288,11 @@ CHECK_NAMES = (*_GROUP_CHECKS, "iso-oracle")
 
 
 def _group_work(item: tuple[MCInv, tuple[str, ...]]):
-    """({check: (checked, failures)}, findings) of one group."""
+    """({check: (checked, failures)}, findings) of one group.  The tuple
+    comes from `valid_tuples`, which has validated it, so it is only
+    realized."""
     inv, names = item
-    G = construct_group(inv)
+    G = realize(inv)
     counts = {}
     findings = []
     for name in names:

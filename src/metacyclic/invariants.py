@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .group import InvariantError, MetacyclicGroup, Subgroup
 from .numth import (
@@ -352,7 +353,18 @@ def validate_tuple(m: int, n: int, s: int,
 
 
 def construct_group(inv: MCInv) -> MetacyclicGroup:
-    """Canonical presentation realizing a valid classifying tuple.
+    """Canonical presentation realizing a classifying tuple: `realize`,
+    once `validate_tuple` has accepted the tuple.  An invalid tuple raises
+    ValueError with the failed clauses."""
+    ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
+    if not ok:
+        raise ValueError("tuple is not realizable: " + "; ".join(reasons))
+    return realize(inv)
+
+
+def realize(inv: MCInv) -> MetacyclicGroup:
+    """Canonical presentation realizing a valid classifying tuple, such as
+    each tuple `valid_tuples` returns; `construct_group` validates first.
 
     Finds the least action exponent x < m whose cyclic group restricts to
     delta on m' and to the prescribed local action at every prime of r,
@@ -364,11 +376,9 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
     base + g, base stepping by m' and g running over the generators of
     delta in increasing order; the first that passes the other tests is
     the least x, which makes the output deterministic.  (0 is the unit
-    mod 1, the generator of delta when m' = 1.)
+    mod 1, the generator of delta when m' = 1.)  A tuple that admits no
+    such x raises InvariantError.
     """
-    ok, reasons = validate_tuple(inv.m, inv.n, inv.s, inv.delta)
-    if not ok:
-        raise ValueError("tuple is not realizable: " + "; ".join(reasons))
     m, n, mp, delta = inv.m, inv.n, inv.m_prime, inv.delta
     s_res = inv.s % m
     s_step = m // math.gcd(s_res, m)
@@ -387,7 +397,7 @@ def construct_group(inv: MCInv) -> MetacyclicGroup:
                 continue
             if all(x in T and mult_order(x, T.modulus) == T.order for T in targets):
                 return MetacyclicGroup(m, n, s_res, x)
-    raise InvariantError(f"validated tuple {inv} admits no action exponent")
+    raise InvariantError(f"tuple {inv} admits no action exponent")
 
 
 @lru_cache(maxsize=None)
@@ -396,19 +406,24 @@ def valid_tuples(max_order: int) -> tuple[MCInv, ...]:
 
     The tuples are generated rather than filtered.  For each m, each
     m' | m and each cyclic delta mod m' with |delta| <= max_order / m,
-    (r, eps, k) is derived once, and the s | m that clause (a) of
-    `validate_tuple` rejects without looking at n (m, s and m'
-    disagreeing outside the primes of r) are dropped.  Clause (a) holds
-    for every other s once |delta| divides n, and clauses (b), (c) and
-    (d) read n only through its p-parts n_p at the primes p of r.  So for
-    each s the admissible n_p are listed per prime of r, by the same
-    `_m_prime_at` and `_local_reasons` that `validate_tuple` calls, and
-    n runs only over the multiples of |delta| up to max_order / m whose
-    p-parts are all admissible.  Every tuple emitted still goes through
-    `validate_tuple`, and a rejection raises InvariantError.  Ties of
-    `MCInv.sort_key` are ordered by m'.
+    (r, eps, k) is derived once.  Clause (a) of `validate_tuple` rejects
+    without looking at n every s whose part outside the primes of r
+    differs from m's, so s runs only over that part of m times the
+    products of p-parts s_p at the primes p of r.  Clause (a) holds for
+    every such s once |delta| divides n, and clauses (b), (c) and (d)
+    read n only through its p-parts n_p at the primes p of r.  So the
+    admissible n_p are listed per prime p of r and per s_p, by the same
+    `_m_prime_at` and `_local_reasons` that `validate_tuple` calls; an
+    s_p with none is skipped, and n runs only over the multiples of
+    |delta| up to max_order / m whose p-parts are all admissible.  Each
+    list depends only on its p-parts, eps and max_order / m, so it is
+    computed once per call, as are the cyclic subgroups mod each m'.
+    Every tuple emitted still goes through `validate_tuple`, and a
+    rejection raises InvariantError.  Ties of `MCInv.sort_key` are
+    ordered by m'.
     """
     subgroups: dict[int, tuple[UnitSubgroup, ...]] = {}
+    admissible: dict[tuple[int, ...], list[int]] = {}
     out = []
     for m in range(1, max_order + 1):
         n_max = max_order // m
@@ -421,17 +436,29 @@ def valid_tuples(max_order: int) -> tuple[MCInv, ...]:
                 if d > n_max:
                     continue
                 r, eps, k = derive_rek(m, delta)
-                pi_r = sorted(primes_of(r))
-                pi_prime = m_primes - primes_of(r)
-                m_out = part(m, pi_prime)
-                if part(mp, pi_prime) != m_out:
+                r_primes = primes_of(r)
+                m_out = part(m, m_primes - r_primes)
+                if part(mp, m_primes - r_primes) != m_out:
                     continue
-                per_prime = [(p, p_part(m, p), p_part(r, p), p_part(k, p),
-                              p_part(mp, p), p_part(d, p)) for p in pi_r]
-                for s in divisors(m):
-                    if part(s, pi_prime) != m_out:
-                        continue
-                    for n in _admissible_n(per_prime, s, eps, d, r, n_max):
+                d_out = d
+                options = []
+                for p in sorted(r_primes):
+                    m_p, d_p = p_part(m, p), p_part(d, p)
+                    at = (p, m_p, p_part(r, p), p_part(k, p), p_part(mp, p), d_p)
+                    d_out //= d_p
+                    here = []
+                    s_p = 1
+                    while s_p <= m_p:
+                        key = (*at, s_p, eps, n_max)
+                        if key not in admissible:
+                            admissible[key] = _admissible_parts(*key)
+                        if admissible[key]:
+                            here.append((s_p, admissible[key]))
+                        s_p *= p
+                    options.append(here)
+                for choice in product(*options):
+                    s = m_out * math.prod(s_p for s_p, _ in choice)
+                    for n in _admissible_n([parts for _, parts in choice], d_out, r, n_max):
                         ok, reasons = validate_tuple(m, n, s, delta)
                         if not ok:
                             raise InvariantError(
@@ -441,24 +468,29 @@ def valid_tuples(max_order: int) -> tuple[MCInv, ...]:
     return tuple(sorted(out, key=lambda inv: (inv.sort_key(), inv.m_prime)))
 
 
-def _admissible_n(per_prime, s: int, eps: int, d: int, r: int, n_max: int) -> list[int]:
-    """The n <= n_max divisible by d whose p-part at each prime p of r
-    passes clauses (b), (c) and (d), for `per_prime` the (p, m_p, r_p,
-    k_p, m'_p, d_p) at each prime of r.  Each such n is one product h u: h a
-    product of admissible p-parts n_p, each a multiple of d_p, and u a
-    multiple of the part of d prime to r, itself prime to r.  The clause
-    helpers get (p, m_p, r_p, s_p, n_p, k_p), the layout of `_local_parts`."""
-    heads, d_out = [1], d
-    for p, m_p, r_p, k_p, mp_p, d_p in per_prime:
-        s_p, ok = p_part(s, p), []
-        d_out //= d_p
-        n_p = d_p
-        while n_p <= n_max:
-            at = (p, m_p, r_p, s_p, n_p, k_p)
-            if _m_prime_at(*at, eps) == mp_p and not _local_reasons(*at, eps):
-                ok.append(n_p)
-            n_p *= p
-        heads = [h * q for h in heads for q in ok if h * q <= n_max]
+def _admissible_parts(p: int, m_p: int, r_p: int, k_p: int, mp_p: int, d_p: int,
+                      s_p: int, eps: int, n_max: int) -> list[int]:
+    """The p-parts n_p <= n_max, multiples of d_p, that pass clauses (b),
+    (c) and (d) at a prime p of r.  The clause helpers get (p, m_p, r_p,
+    s_p, n_p, k_p), the layout of `_local_parts`."""
+    ok = []
+    n_p = d_p
+    while n_p <= n_max:
+        at = (p, m_p, r_p, s_p, n_p, k_p)
+        if _m_prime_at(*at, eps) == mp_p and not _local_reasons(*at, eps):
+            ok.append(n_p)
+        n_p *= p
+    return ok
+
+
+def _admissible_n(lists: list[list[int]], d_out: int, r: int, n_max: int) -> list[int]:
+    """The n <= n_max whose p-part at each prime p of r is in that prime's
+    list of admissible p-parts, and whose part prime to r is a multiple of
+    d_out.  Each such n is one product h u: h a product of admissible
+    p-parts, and u a multiple of d_out, itself prime to r."""
+    heads = [1]
+    for parts in lists:
+        heads = [h * q for h in heads for q in parts if h * q <= n_max]
     return [h * u for h in heads for u in range(d_out, n_max // h + 1, d_out)
             if math.gcd(u, r) == 1]
 

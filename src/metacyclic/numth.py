@@ -239,33 +239,89 @@ def preimage(sub: UnitSubgroup, modulus: int) -> UnitSubgroup:
     return _canonical(modulus, tuple(x for x in units(modulus) if x in sub))
 
 
+def _primitive_root(p: int, k: int) -> int:
+    """A generator of the cyclic units mod p^k, p an odd prime: the least
+    primitive root g mod p, or g + p when g^(p-1) = 1 mod p^2."""
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q, _ in prime_factors(p - 1)))
+    return g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
+def _sylow_bases(modulus: int) -> dict[int, list[tuple[int, int]]]:
+    """For each prime l of phi(modulus), generators y_i of the l-Sylow
+    subgroup of the units mod `modulus` as a direct product of cyclic
+    groups, as pairs (y_i, a_i) with |y_i| = l^(a_i).
+
+    The units mod p^e are cyclic on a primitive root for odd p, and are
+    <-1> x <5> mod 2^e (e >= 3); each cyclic factor of order N, lifted to
+    `modulus` by CRT (1 at the other primes), splits into its l-parts
+    x^(N / l^a)."""
+    bases: dict[int, list[tuple[int, int]]] = {}
+    for p, e in prime_factors(modulus):
+        q = p ** e
+        rest = modulus // q
+        if p != 2:
+            factors = [(_primitive_root(p, e), q // p * (p - 1))]
+        else:
+            factors = [(-1, 2)] * (e >= 2) + [(5, q // 4)] * (e >= 3)
+        for g, order in factors:
+            x = (1 + rest * ((g - 1) * pow(rest, -1, q) % q)) % modulus
+            for ell, a in prime_factors(order):
+                bases.setdefault(ell, []).append((pow(x, order // ell ** a, modulus), a))
+    return bases
+
+
+def _cyclic_parts(modulus: int, ell: int, basis: list[tuple[int, int]],
+                  bound: int) -> list[tuple[int, int]]:
+    """(generator, order) of each cyclic subgroup of order at most `bound`
+    of the l-group with basis (y_i, a_i), |y_i| = l^(a_i).
+
+    A cyclic subgroup of order l^j > 1 has one generator of the form
+    prod y_i^(v_i) with, at the first index i whose part has order l^j,
+    v_i = l^(a_i - j): its parts before i have order below l^j and those
+    after at most l^j.  Scaling a generator by a unit mod l^j keeps each
+    part's order, and only units = 1 mod l^j keep v_i, so that form is
+    unique."""
+    out = [(1 % modulus, 1)]
+    j = 1
+    while ell ** j <= bound and any(a >= j for _, a in basis):
+        for i, (y_i, a_i) in enumerate(basis):
+            if a_i < j:
+                continue
+            gens = [pow(y_i, ell ** (a_i - j), modulus)]
+            for k, (y, a) in enumerate(basis):
+                if k == i:
+                    continue
+                top = j - 1 if k < i else j  # this part has order at most l^top
+                step = ell ** max(a - top, 0)
+                powers = [pow(y, c * step, modulus) for c in range(ell ** a // step)]
+                gens = [g * z % modulus for g in gens for z in powers]
+            out += [(g, ell ** j) for g in gens]
+        j += 1
+    return out
+
+
 def cyclic_subgroups(modulus: int, max_order: int | None = None) -> tuple[UnitSubgroup, ...]:
     """The cyclic subgroups of the units mod `modulus` of order at most
     `max_order` (all of them when it is None), sorted.
 
-    Each subgroup is walked once by `_powers`, from its least generator t,
-    and interned by `_canonical`; its other generators, the t^j with
-    gcd(j, |t|) = 1, are skipped afterwards.  A unit whose order exceeds
-    the bound is passed over by a few powers: its order divides
-    phi(modulus), so it is at most `max_order` iff t^d = 1 for a divisor
-    d <= max_order of phi that no other such divisor is a multiple of.
+    Listed by structure, without a scan of the units: a cyclic subgroup is
+    the product of its l-parts, one cyclic subgroup of the l-Sylow
+    subgroup for each prime l of phi(modulus) (`_sylow_bases`,
+    `_cyclic_parts`).  Each product whose order is within the bound is
+    walked once by `_powers` from the product of the l-part generators
+    and interned by `_canonical`, so its generator is the least residue
+    of full order, as for every unit subgroup.
     """
     bound = phi(modulus) if max_order is None else max_order
-    small = [d for d in divisors(phi(modulus)) if d <= bound]
-    tests = [d for d in small if not any(e != d and e % d == 0 for e in small)]
-    found = []
-    known: set[int] = set()
-    one = 1 % modulus
-    for t in range(modulus):
-        if t in known or math.gcd(t, modulus) != 1:
-            continue
-        if all(pow(t, d, modulus) != one for d in tests):
-            continue
-        powers = _powers(t, modulus)
-        k = len(powers)
-        known.update(powers[j] for j in range(k) if math.gcd(j, k) == 1)
-        found.append(_canonical(modulus, tuple(sorted(powers))))
-    return tuple(sorted(found))
+    choices = [(1 % modulus, 1)] if bound >= 1 else []
+    for ell, basis in _sylow_bases(modulus).items():
+        if ell <= bound:
+            parts = _cyclic_parts(modulus, ell, basis, bound)
+            choices = [(x * y % modulus, o * q) for x, o in choices
+                       for y, q in parts if o * q <= bound]
+    return tuple(sorted(_canonical(modulus, tuple(sorted(_powers(x, modulus))))
+                        for x, _ in choices))
 
 
 def crt_exponent(order: int, primes) -> int:

@@ -150,11 +150,13 @@ def roots_of_unity_order(F: FixedField) -> int:
 
     Q(zeta_f) embeds in F exactly when f divides the conductor and the
     whole fixer reduces to 1 mod f, that is when f divides g, the gcd of
-    the conductor and every x - 1 over the fixer.  So the torsion order
-    is 2 * e * 2^(a-1) with e the odd part of g and 2^a its 2-part (a >= 1
-    read as 1 when g is odd, since -1 is always present).
+    the conductor and every x - 1 over the fixer.  Since xy - 1 =
+    x(y - 1) + (x - 1), that gcd over a generating set equals the gcd over
+    every element, so g is read from the fixer's generators.  The torsion
+    order is 2 * e * 2^(a-1) with e the odd part of g and 2^a its 2-part
+    (a >= 1 read as 1 when g is odd, since -1 is always present).
     """
-    g = math.gcd(F.conductor, *(x - 1 for x in F.fixer.elements))
+    g = math.gcd(F.conductor, *(x - 1 for x in F.fixer_generators()))
     two = g & -g
     return 2 * (g // two) * max(two // 2, 1)
 

@@ -9,10 +9,11 @@ import math
 from itertools import islice
 
 from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
-from metacyclic.invariants import MCInv, derive_rek, mcinv, sylow_presentation
-from metacyclic.numth import (UnitSubgroup, cyclic_subgroup, divisors, lcm,
-                              mult_order, orbit, p_part, part, phi, prime_factors,
-                              primes_of, restrict, units, vp)
+from metacyclic.invariants import (MCInv, derive_rek, local_params, mcinv,
+                                   sylow_presentation)
+from metacyclic.numth import (UnitSubgroup, _canonical, _powers, cyclic_subgroup,
+                              divisors, lcm, mult_order, orbit, p_part, part, phi,
+                              prime_factors, primes_of, restrict, units, vp)
 from metacyclic.wedderburn import (FixedField, SimpleComponent, _coset_generator,
                                    cyclotomic_field, fixed_field, is_subfield,
                                    roots_of_unity_order)
@@ -51,6 +52,33 @@ def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup,
     n = G.order // A.order
     return next((G.order // B.order for B in reversed(cyclics)
                  if B.order % n == 0 and G.generates_quotient(B.generator, A, n)), None)
+
+
+def scanned_cyclic_subgroups(modulus: int,
+                             max_order: int | None = None) -> tuple[UnitSubgroup, ...]:
+    """`numth.cyclic_subgroups` by a scan of every unit t mod `modulus`,
+    in increasing order: each subgroup is walked from its least generator
+    and its other generators, the t^j with gcd(j, |t|) = 1, are skipped.
+    A unit whose order exceeds the bound is passed over by a few powers:
+    its order divides phi(modulus), so it is at most `max_order` iff
+    t^d = 1 for a divisor d <= max_order of phi that no other such
+    divisor is a multiple of."""
+    bound = phi(modulus) if max_order is None else max_order
+    small = [d for d in divisors(phi(modulus)) if d <= bound]
+    tests = [d for d in small if not any(e != d and e % d == 0 for e in small)]
+    found = []
+    known: set[int] = set()
+    one = 1 % modulus
+    for t in range(modulus):
+        if t in known or math.gcd(t, modulus) != 1:
+            continue
+        if all(pow(t, d, modulus) != one for d in tests):
+            continue
+        powers = _powers(t, modulus)
+        k = len(powers)
+        known.update(powers[j] for j in range(k) if math.gcd(j, k) == 1)
+        found.append(_canonical(modulus, tuple(sorted(powers))))
+    return tuple(sorted(found))
 
 
 def walked_cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
@@ -160,6 +188,26 @@ def ne_regime(G: MetacyclicGroup) -> tuple[str, int] | None:
             and s2 == 2 and k2 == 2):
         return ("nonsplit", nu)
     return None
+
+
+def sylow_first_regime_U(G: MetacyclicGroup, p: int) -> bool:
+    """`analysis.regime_U` with the Sylow p-subgroup classified
+    (`local_params`) as soon as p lies in pi, before the global clauses
+    eps = 1 and k_p > 1 are read, where the fast path reads those first."""
+    inv, der = mcinv(G)
+    if p not in der.pi:
+        return False
+    mu, nu, sigma, rho, e = local_params(G, p)
+    if e != 1 or der.eps != 1:
+        return False
+    k_p = p_part(der.k, p)
+    n_p, s_p = p_part(inv.n, p), p_part(inv.s, p)
+    l_p = max(k_p, p ** (mu - rho))
+    if not (k_p > 1 and 0 < mu <= 2 * rho and 1 <= rho == sigma < nu):
+        return False
+    if not (l_p < p ** nu and s_p == p ** rho and max(l_p, p ** rho) <= n_p):
+        return False
+    return n_p == p ** nu or n_p < min(p ** nu, p ** rho * k_p)
 
 
 def scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:

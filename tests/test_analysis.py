@@ -29,9 +29,9 @@ from metacyclic.group import (
     cocyclic_triples,
 )
 from metacyclic.invariants import construct_group, mcinv, tuple_from_parts, valid_tuples
-from metacyclic.numth import p_part
+from metacyclic.numth import p_part, primes_of
 from metacyclic.wedderburn import decomposition
-from oracles import ne_regime, scaled_sylow_generator
+from oracles import ne_regime, scaled_sylow_generator, sylow_first_regime_U
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -193,6 +193,21 @@ def test_sylow_shortcuts_against_the_sylow_tuple_routes() -> None:
                 _outcome(scaled_sylow_generator, G, p), (inv, p)
             pairs += 1
     assert (classes, shapes, pairs) == (3326, 78, 5400)
+
+
+def test_regime_U_against_the_sylow_first_clause_order() -> None:
+    """`regime_U`, which reads the global clauses before the Sylow data,
+    against the same clauses with the Sylow data read first, on every
+    class up to order 512 and every prime of its order."""
+    pairs = inside = 0
+    for inv in valid_tuples(512):
+        G = construct_group(inv)
+        for p in sorted(primes_of(G.order)):
+            got = regime_U(G, p)
+            assert got == sylow_first_regime_U(G, p), (inv, p)
+            pairs += 1
+            inside += got
+    assert (pairs, inside) == (7820, 307)
 
 
 def test_normalizer_prediction_matches_group_computation() -> None:

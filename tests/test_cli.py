@@ -242,6 +242,25 @@ def test_the_sweep_builds_no_order_table(monkeypatch) -> None:
     assert [s["status"] for s in summaries] == ["pass"] * len(names)
 
 
+def test_the_sweep_validates_each_tuple_once(monkeypatch) -> None:
+    """`valid_tuples` validates every tuple it returns, so once it is
+    cached the sweep only realizes them: `roundtrip` and `dimension` up to
+    128 make no `validate_tuple` call."""
+    invariants.valid_tuples(128)
+    validate = invariants.validate_tuple
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(invariants, "validate_tuple", counted)
+    findings, summaries = cli.run_checks(("roundtrip", "dimension"), 128)
+    assert findings == []
+    assert [s["lhs"] for s in summaries] == [554, 554]
+    assert calls == []
+
+
 def test_verify_rejects_unknown_check(capsys) -> None:
     code, _, err = run_cli(capsys, "verify", "--checks", "roundtrip,bogus")
     assert code == 1

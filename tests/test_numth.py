@@ -29,7 +29,7 @@ from metacyclic.numth import (
     units,
     vp,
 )
-from oracles import walked_cyclic_subgroup
+from oracles import scanned_cyclic_subgroups, walked_cyclic_subgroup
 
 
 def test_prime_factors_reconstruct() -> None:
@@ -214,6 +214,20 @@ def test_cyclic_subgroups_are_exactly_the_cyclic_ones() -> None:
         for bound in range(phi(modulus) + 2):
             got = cyclic_subgroups(modulus, bound)
             assert list(got) == [S for S in want if S.order <= bound], (modulus, bound)
+
+
+def test_cyclic_subgroups_against_the_unit_scan() -> None:
+    """The listing by Sylow parts against the scan of every unit, for every
+    modulus up to 1024, with no bound and at the bounds that `valid_tuples`
+    uses for 128 and 4096; equality includes the least generator.  The
+    bounded listings are compared with the scan's full listing cut at the
+    bound."""
+    for modulus in range(1, 1025):
+        want = scanned_cyclic_subgroups(modulus)
+        assert cyclic_subgroups(modulus) == want, modulus
+        for bound in (128 // modulus, 4096 // modulus):
+            assert cyclic_subgroups(modulus, bound) == \
+                tuple(S for S in want if S.order <= bound), (modulus, bound)
 
 
 def test_cyclic_subgroup_matches_the_closure_of_its_generator() -> None:

@@ -90,15 +90,20 @@ def test_fixed_field_against_the_unit_scan() -> None:
 
 
 def test_roots_of_unity_order_against_the_divisor_scan() -> None:
-    """The gcd of the conductor and every x - 1 over the fixer gives the
-    same torsion order as the scan of the divisors of the conductor, on
-    every center up to order 256 and on Q(zeta_d) for d <= 256."""
+    """The gcd of the conductor and x - 1 for the generator x of a cyclic
+    fixer, or every x - 1 over a non-cyclic one, gives the same torsion
+    order as the scan of the divisors of the conductor, on every center up
+    to order 256, on Q(zeta_d) for d <= 256, and on the fields fixed by
+    the subgroups of two generators mod d <= 48, 12 of them non-cyclic."""
     fields = {comp.center for inv in valid_tuples(256)
               for comp in decomposition(construct_group(inv))}
     fields |= {cyclotomic_field(d) for d in range(1, 257)}
-    for F in fields:
-        assert roots_of_unity_order(F) == scan_roots_of_unity_order(F), F
     assert len(fields) == 481
+    pairs = {fixed_field(d, from_generators(d, gens)) for d in range(1, 49)
+             for gens in itertools.combinations(units(d), 2)}
+    assert sum(F.fixer.generator is None for F in pairs) == 12
+    for F in fields | pairs:
+        assert roots_of_unity_order(F) == scan_roots_of_unity_order(F), F
 
 
 def test_subfield_and_intersection() -> None:
