@@ -108,16 +108,18 @@ def _base_field(GC: MetacyclicGroup) -> FixedField:
 # -- recovering the pi'-action from the algebra ------------------------------
 
 
-def recover_R(decomp, m_pi_prime: int) -> UnitSubgroup:
-    """Action subgroup mod m_pi' read off the decomposition alone.
+def recover_R(cands, m_pi_prime: int) -> UnitSubgroup:
+    """Action subgroup mod m_pi' read off the decomposition alone, given
+    its A1/A2 components `a1a2_components(decomp, m_pi_prime)`.
 
     Among the components whose center embeds in Q(zeta_{m_pi'}) with
     torsion exactly +-1, the maximal-degree ones have the base field F0
     as largest center; R is its Galois group, recovered as the preimage
     of the center's fixer.  The input group is never consulted, so the
-    result can be compared against the group-theoretic action.
+    result can be compared against the group-theoretic action.  The
+    caller filters the components, so a check that also reads their top
+    degree filters them once.
     """
-    cands = a1a2_components(decomp, m_pi_prime)
     if not cands:
         raise ValueError("no component passes the A1/A2 filter")
     top = max(comp.total_degree for comp in cands)

@@ -209,13 +209,13 @@ def _check_perlis_walker(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict
 def _check_recover_r(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
     der = mcinv(G)[1]
     m_pp = part(inv.m, der.pi_prime)
-    comps = decomposition(G)
+    cands = a1a2_components(decomposition(G), m_pp)
     out = []
-    got = recover_R(comps, m_pp)
+    got = recover_R(cands, m_pp)
     if got != der.R:
         out.append(_finding("recoverR", "fail", repr(got), repr(der.R),
                             _group_label(inv)))
-    deg = max(c.total_degree for c in a1a2_components(comps, m_pp))
+    deg = max(c.total_degree for c in cands)
     branch = max_degree_branch(G)
     if deg != branch:
         out.append(_finding("recoverR", "fail", deg, branch, _group_label(inv)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .group import El, InvariantError, MetacyclicGroup, Subgroup
 from .numth import (
@@ -55,6 +55,24 @@ class FixedField:
     @property
     def degree(self) -> int:
         return phi(self.conductor) // self.fixer.order
+
+    @cached_property
+    def torsion(self) -> int:
+        """Order of the torsion subgroup of F*, see `roots_of_unity_order`.
+
+        Q(zeta_f) embeds in F exactly when f divides the conductor and
+        the whole fixer reduces to 1 mod f, that is when f divides g, the
+        gcd of the conductor and every x - 1 over the fixer.  Since
+        xy - 1 = x(y - 1) + (x - 1), that gcd over a generating set equals
+        the gcd over every element, so g is read from the fixer's
+        generators.  The torsion order is 2 * e * 2^(a-1) with e the odd
+        part of g and 2^a its 2-part (a >= 1 read as 1 when g is odd,
+        since -1 is always present).  It is not a dataclass field, so it
+        takes no part in equality, hashing or order.
+        """
+        g = math.gcd(self.conductor, *(x - 1 for x in self.fixer_generators()))
+        two = g & -g
+        return 2 * (g // two) * max(two // 2, 1)
 
     def fixer_generators(self) -> tuple[int, ...]:
         if self.fixer.is_trivial:
@@ -146,41 +164,49 @@ def intersect_cyclotomic(F: FixedField, c: int) -> FixedField:
 
 
 def roots_of_unity_order(F: FixedField) -> int:
-    """Order of the torsion subgroup of F* (always even).
-
-    Q(zeta_f) embeds in F exactly when f divides the conductor and the
-    whole fixer reduces to 1 mod f, that is when f divides g, the gcd of
-    the conductor and every x - 1 over the fixer.  Since xy - 1 =
-    x(y - 1) + (x - 1), that gcd over a generating set equals the gcd over
-    every element, so g is read from the fixer's generators.  The torsion
-    order is 2 * e * 2^(a-1) with e the odd part of g and 2^a its 2-part
-    (a >= 1 read as 1 when g is odd, since -1 is always present).
-    """
-    g = math.gcd(F.conductor, *(x - 1 for x in F.fixer_generators()))
-    two = g & -g
-    return 2 * (g // two) * max(two // 2, 1)
+    """Order of the torsion subgroup of F* (always even), computed once
+    per field by `FixedField.torsion` and kept on the instance, which
+    `fixed_field` interns."""
+    return F.torsion
 
 
 # ---------------------------------------------------------------------------
 # strong Shoda pairs
 
 
-def _cyclic_quotient(G: MetacyclicGroup, c: int, e: int, f: int, e0: int) -> bool:
-    """Whether L/K is cyclic for K = <a^c, a^e b^f> inside L = <a, b^e0>,
-    e0 the order of t mod c.  L/<a^c> is abelian on a and b^e0, so L/K is
-    Z^2 modulo the rows (c, 0), (-s, n0) and (e, f'), with n0 = n/e0 and
+class _Block:
+    """The constants that the classes of one (c, f) block share, for
+    K = <a^c, a^e b^f> inside L = <a, b^e0>, e0 the order of t mod c and
+    e0 | f.  L/<a^c> is abelian on a and b^e0, so L/K is Z^2 modulo the
+    rows (c, 0), (-s, n0) and (e, f'), with n0 = n/e0 and
     f' = (f mod n)/e0; it is cyclic iff the first invariant factor, the
-    gcd of the entries, is 1."""
-    return math.gcd(c, G.s, G.n // e0, e, f % G.n // e0) == 1
+    gcd of the entries, is 1, that is iff e is prime to `coprime`, the
+    gcd of the other four.  The rest serve `_class_of` (t^-1 mod c),
+    `_least` (n/f) and `_component`: [L:K] = c f/e0, and gamma and v of
+    the Hermite basis of `_character`."""
+
+    __slots__ = ("G", "c", "f", "e0", "n0", "fp", "idx", "gamma", "v",
+                 "coprime", "t_inv", "head")
+
+    def __init__(self, G: MetacyclicGroup, c: int, f: int, e0: int):
+        n0, fp = G.n // e0, f % G.n // e0
+        gamma = math.gcd(n0, fp)
+        self.G, self.c, self.f, self.e0, self.n0, self.fp = G, c, f, e0, n0, fp
+        self.idx = c * f // e0
+        self.gamma = gamma
+        self.v = pow(fp // gamma, -1, n0 // gamma)
+        self.coprime = math.gcd(c, G.s, n0, fp)
+        self.t_inv = pow(G.t, -1, c)
+        self.head = G.n // f
 
 
-def _class_of(G: MetacyclicGroup, c: int, e: int) -> list[int]:
+def _class_of(B: _Block, e: int) -> list[int]:
     """The e' of the conjugates <a^c, a^e' b^f> of K = <a^c, a^e b^f>
     when t^f = 1 mod c: then conjugation by a fixes e and conjugation by
     b sends it to e t^-1 mod c, so the class is {e t^-j mod c}, and its
     size f_N is the least divisor of n with c | e (t^f_N - 1), making
     N_G(K) = <a, b^f_N>."""
-    t_inv = pow(G.t, -1, c)
+    c, t_inv = B.c, B.t_inv
     orbit, x = [e], e * t_inv % c
     while x != e:
         orbit.append(x)
@@ -188,58 +214,67 @@ def _class_of(G: MetacyclicGroup, c: int, e: int) -> list[int]:
     return orbit
 
 
-def _shoda_classes(G: MetacyclicGroup) -> list[tuple[int, int, int, int, int]]:
-    """(c, e, f, e0, f_N) for each conjugacy class of K = <a^c, a^e b^f>
-    in a strong Shoda pair (L, K), L = <a, b^e0>, in pair order.
+def _least(B: _Block, conjugates: list[int]) -> int:
+    """The member of a class whose first n/f elements, those a^i b^j with
+    i < c, come first: the sorted element list repeats them for each
+    i mod c, and as t^f = 1 mod c they are a^(e l mod c) b^(l f) for
+    l < n/f."""
+    if len(conjugates) == 1:
+        return conjugates[0]
+    c, head = B.c, B.head
+    return min(conjugates, key=lambda x: sorted((x * l % c, l) for l in range(head)))
+
+
+def _shoda_classes(G: MetacyclicGroup):
+    """(B, e, conjugates) for each conjugacy class of K = <a^c, a^e b^f>
+    in a strong Shoda pair (L, K), L = <a, b^e0>: B the `_Block` of
+    (c, f), e the member of least residue and conjugates its class
+    (`_class_of`), of size f_N, in block order.
 
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
     of t mod m.  L contains A, so L = <a, b^d> with d | j0; L' <= K
     forces e0 | d, e0 the order of t mod c, and maximality forces d = e0.
     So each block (c, f) of canonical triples is read at once: K lies in
-    L iff e0 | f, L/K is cyclic by `_cyclic_quotient`, and the class of K
-    is `_class_of`, of size f_N.  The classes come in the (order, triple)
-    order of their least-e members, and e is the member of least element
-    list, the conjugate that the twist y of `_component` refers to.  The
-    first n/f elements, those a^i b^j with i < c, order the conjugates,
-    since the sorted list repeats them for each i mod c; as t^f = 1 mod
-    c, they are a^(e l mod c) b^(l f) for l < n/f.  Normality of K in L
-    is checked outright: a normalizes K iff t^f = 1 mod c, and b^e0 iff
-    e (t^e0 - 1) = 0 mod c.  The other strong-pair axioms hold by the
-    classification of metabelian group algebras, and
-    :func:`idempotent_check` verifies them at small orders.
+    L iff e0 | f, and L/K is cyclic iff e is prime to `B.coprime`.
+    Normality of K in L is checked outright: a normalizes K iff
+    t^f = 1 mod c, and b^e0 iff e (t^e0 - 1) = 0 mod c.  The other
+    strong-pair axioms hold by the classification of metabelian group
+    algebras, and :func:`idempotent_check` verifies them at small orders.
     """
-    m, n, t = G.m, G.n, G.t
-    rows, orders = [], {}
+    t = G.t
+    orders: dict[int, int] = {}
     for c, f, es in G._canonical_blocks():
         if c not in orders:
             orders[c] = mult_order(t, c)
         e0 = orders[c]
         if f % e0:
             continue
+        B = _Block(G, c, f, e0)
+        coprime = B.coprime
         a_normal = pow(t, f, c) == 1 % c
         b_shift = pow(t, e0, c) - 1
-        head = n // f
         seen: set[int] = set()
         for e in es:
-            if e in seen or not _cyclic_quotient(G, c, e, f, e0):
+            if e in seen or math.gcd(coprime, e) != 1:
                 continue
             if not a_normal or e * b_shift % c:
                 raise InvariantError(f"{Subgroup(G, c, e, f)!r} is not normal in "
                                      f"{G.l_subgroup(e0)!r} in {G!r}")
-            conjugates = _class_of(G, c, e)
+            conjugates = _class_of(B, e)
             seen.update(conjugates)
-            least = e if len(conjugates) == 1 else min(
-                conjugates, key=lambda x: sorted((x * l % c, l) for l in range(head)))
-            rows.append((m // c * head, c, e, f, least, e0, len(conjugates)))
-    rows.sort()
-    return [(c, least, f, e0, f_N) for _, c, _, f, least, e0, f_N in rows]
+            yield B, e, conjugates
 
 
 def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], ...]:
     """One strong Shoda pair (L, K) per conjugacy class of K, as listed by
-    `_shoda_classes`."""
-    return tuple((G.l_subgroup(e0), Subgroup(G, c, e, f))
-                 for c, e, f, e0, _ in _shoda_classes(G))
+    `_shoda_classes`, in the (order, triple) order of the least-e members
+    of the classes; K is the member of least element list (`_least`),
+    the conjugate that the twist y of `_component` refers to."""
+    m = G.m
+    rows = sorted((m // B.c * B.head, B.c, e, B.f, _least(B, conjugates), B.e0)
+                  for B, e, conjugates in _shoda_classes(G))
+    return tuple((G.l_subgroup(e0), Subgroup(G, c, least, f))
+                 for _, c, _, f, least, e0 in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -386,61 +421,88 @@ class SimpleComponent:
         }
 
 
-def _character(G: MetacyclicGroup, c: int, e: int, f: int, e0: int) -> tuple[int, int]:
-    """(p, q) such that a^i b^(e0 k) -> p i + q k mod [L:K] maps L onto
-    Z/[L:K] with kernel K, for a strong Shoda pair (L, K) as in
-    `_cyclic_quotient`.  Row operations on (-s, n0) and (e, f') bring the
-    relation lattice to the Hermite basis (alpha, 0), (beta, gamma), with
-    gamma = gcd(n0, f') and alpha = gcd(c, (n0 e + f' s)/gamma); then
-    [L:K] = alpha gamma.  p = gamma and q = alpha k - beta kill both rows,
-    and with k the product of the primes dividing gamma but not beta,
-    gcd(q, gamma) = 1 (gcd(alpha, beta, gamma) = 1 as L/K is cyclic), so
-    the map is onto."""
-    n0, fp = G.n // e0, f % G.n // e0
-    gamma = math.gcd(n0, fp)
-    v = pow(fp // gamma, -1, n0 // gamma)
-    beta = v * e - (gamma - v * fp) // n0 * G.s
-    alpha = math.gcd(c, (n0 * e + fp * G.s) // gamma)
-    if alpha * gamma != c * f // e0:
-        raise InvariantError(f"[L:K] = {c * f // e0} is not {alpha} * {gamma}")
+def _character(B: _Block, e: int, alpha: int) -> int:
+    """q such that a^i b^(e0 k) -> gamma i + q k mod [L:K] maps L onto
+    Z/[L:K] with kernel K, for a strong Shoda pair (L, K) of block B.
+    Row operations on (-s, n0) and (e, f') bring the relation lattice to
+    the Hermite basis (alpha, 0), (beta, gamma), with gamma = gcd(n0, f')
+    and alpha = gcd(c, (n0 e + f' s)/gamma) (`_component` reads alpha);
+    then [L:K] = alpha gamma.  p = gamma and q = alpha k - beta kill both
+    rows, and with k the product of the primes dividing gamma but not
+    beta, gcd(q, gamma) = 1 (gcd(alpha, beta, gamma) = 1 as L/K is
+    cyclic), so the map is onto."""
+    gamma, v = B.gamma, B.v
+    beta = v * e - (gamma - v * B.fp) // B.n0 * B.G.s
     k = math.prod(r for r, _ in prime_factors(gamma) if beta % r)
-    return gamma, (alpha * k - beta) % (alpha * gamma)
+    return (alpha * k - beta) % B.idx
 
 
-def _component(G: MetacyclicGroup, c: int, e: int, f: int, e0: int,
-               f_N: int) -> SimpleComponent:
+def _component(B: _Block, e: int, f_N: int,
+               table: dict[tuple[int, int], SimpleComponent]) -> SimpleComponent:
     """Descriptor of the simple algebra attached to the strong Shoda pair
-    (L, K) = (<a, b^e0>, <a^c, a^e b^f>) whose class of K has size f_N.
+    (L, K) = (<a, b^e0>, <a^c, a^e b^f>) of block B whose class of K has
+    size f_N.
 
     With N = N_G(K) = <a, b^f_N> (see `_class_of`), u a generator of L/K
-    and w = b^f_N a generator of the cyclic N/L (w = 1 when N = L): x is
-    the conjugation exponent u^w = u^x mod K, y the twist
-    w^[N:L] = u^y mod K, and the center is the fixed field of <x> in
-    Q(zeta_[L:K]); u is the least element of L generating L/K.  All of
-    these are read through the character chi of `_character`, whose
-    kernel is K: u = a^i b^(e0 k) is the first element, in the order
-    of L, with chi(u) = p i + q k a unit mod [L:K], and a row i holds
-    one only if no prime of [L:K] divides both p i and q;
-    x = chi(w^-1 u w) / chi(u) = (p i t^-f_N + q k) / chi(u), and
-    y = chi(b^e0) / chi(u) when N > L, 0 when N = L (w = 1).  The
-    descriptor is that of the K given: only y depends on which conjugate
-    it is.  N contains a, hence G', so it is normal and the same for
-    every conjugate, and w with it; conjugating K by g transports the
-    action of w to that of g w g^-1, which differs from w by an element
-    of G' <= L acting trivially on the abelian L/K.  So x, the center and
-    the degrees do not depend on the conjugate.
+    and w = b^f_N a generator of the cyclic N/L: x is the conjugation
+    exponent u^w = u^x mod K, y the twist w^[N:L] = u^y mod K, and the
+    center is the fixed field of <x> in Q(zeta_[L:K]); u is the least
+    element of L generating L/K.  Every class first passes the index
+    check alpha gamma = [L:K], alpha and gamma of the Hermite basis of
+    `_character`.
+
+    When N = L (f_N = e0, w = 1), x = 1, y = 0 and the component is
+    M_e0(Q(zeta_[L:K])), as Olivieri, del Rio and Simon show for a
+    strong Shoda pair with N_G(K) = L; `table` keeps the one descriptor
+    of each (e0, [L:K]) for the caller.
+
+    When N > L, x and y are read through the character chi of
+    `_character`, whose kernel is K.  chi(a) = gamma goes to
+    chi(w^-1 a w) = gamma t^-f_N and chi(b^e0) = q to itself, and the
+    image of chi(u) is x chi(u), so x = t^-f_N mod alpha and x = 1 mod
+    [L:K]/gcd(q, [L:K]); the two moduli have lcm [L:K] as chi is onto,
+    and residues that disagree mean w does not normalize K.  u is read
+    only for y: u = a^i b^(e0 k) is the first element, in the order of
+    L, with chi(u) = gamma i + q k a unit mod [L:K], and a row i holds
+    one only if no prime of [L:K] divides both gamma i and q;
+    y = chi(w^[N:L]) / chi(u).  The descriptor is that of the K given:
+    only y depends on which conjugate it is.  N contains a, hence G', so
+    it is normal and the same for every conjugate, and w with it;
+    conjugating K by g transports the action of w to that of g w g^-1,
+    which differs from w by an element of G' <= L acting trivially on
+    the abelian L/K.  So x, the center and the degrees do not depend on
+    the conjugate.
     """
-    idx = c * f // e0
-    p, q = _character(G, c, e, f, e0)
-    i, k = next((i, k) for i in range(G.m) if math.gcd(p * i, q, idx) == 1
-                for k in range(G.n // e0) if math.gcd(p * i + q * k, idx) == 1)
-    inv = pow(p * i + q * k, -1, idx)
-    x = (p * (i * pow(G.t, -f_N, c)) + q * k) * inv % idx
-    if f_N < e0:
-        b_e0 = G.power((0, f_N), e0 // f_N)
-        y = (p * b_e0[0] + q * (b_e0[1] // e0)) * inv % idx
-    else:
-        y = 0
+    G, idx, gamma, e0 = B.G, B.idx, B.gamma, B.e0
+    alpha = math.gcd(B.c, (B.n0 * e + B.fp * G.s) // gamma)
+    if alpha * gamma != idx:
+        raise InvariantError(f"[L:K] = {idx} is not {alpha} * {gamma}")
+    if f_N == e0:
+        comp = table.get((e0, idx))
+        if comp is None:
+            center = cyclotomic_field(idx)
+            comp = table[e0, idx] = SimpleComponent(
+                matrix_size=e0,
+                conductor=idx,
+                x=1 % idx,
+                y=0,
+                center=center,
+                total_degree=e0,
+                q_dimension=e0 * e0 * center.degree,
+            )
+        return comp
+
+    q = _character(B, e, alpha)
+    r, fixed = pow(G.t, -f_N, alpha), idx // math.gcd(q, idx)
+    g = math.gcd(alpha, fixed)
+    if (r - 1) % g:
+        raise InvariantError(f"b^{f_N} acts on L/K by {r} mod {alpha} "
+                             f"and 1 mod {fixed}")
+    x = (1 + fixed * ((r - 1) // g * pow(fixed // g, -1, alpha // g))) % idx
+    i, k = next((i, k) for i in range(G.m) if math.gcd(gamma * i, q, idx) == 1
+                for k in range(B.n0) if math.gcd(gamma * i + q * k, idx) == 1)
+    w_power = G.power((0, f_N), e0 // f_N)
+    y = (gamma * w_power[0] + q * (w_power[1] // e0)) * pow(gamma * i + q * k, -1, idx) % idx
     if math.gcd(x, idx) != 1:
         raise InvariantError("conjugation must act by a unit")
     action = cyclic_subgroup(x, idx)
@@ -466,9 +528,10 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     (L, K) of G, as computed by `_component` for that K."""
     c, e, f = K.triple
     e0 = mult_order(G.t, c)
-    if f % e0 or L != G.l_subgroup(e0) or not _cyclic_quotient(G, c, e, f, e0):
+    B = _Block(G, c, f, e0)
+    if f % e0 or L != G.l_subgroup(e0) or math.gcd(B.coprime, e) != 1:
         raise ValueError("(L, K) is not a strong Shoda pair of G")
-    return _component(G, c, e, f, e0, len(_class_of(G, c, e)))
+    return _component(B, e, len(_class_of(B, e)), {})
 
 
 # Only the group being checked reuses its answer; more would keep a sweep alive.
@@ -476,10 +539,16 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
 def decomposition(G: MetacyclicGroup) -> tuple[SimpleComponent, ...]:
     """All Wedderburn components of the rational group algebra of G,
     sorted by (dimension, degree, conductor, action, twist): one
-    `_component` per class of `_shoda_classes`.  Components with the same
-    action share one interned subgroup, so `fixed_field` builds each
-    center once."""
-    comps = [_component(G, *cls) for cls in _shoda_classes(G)]
+    `_component` per class, built as `_shoda_classes` walks the blocks.
+    Only a class with N > L reads its least member (`_least`), the one
+    whose twist is reported.  The classes with N = L share one
+    descriptor per (e0, [L:K]), kept in a table that lives for the call,
+    and components with the same action share one interned subgroup, so
+    `fixed_field` builds each center once."""
+    table: dict[tuple[int, int], SimpleComponent] = {}
+    comps = [_component(B, e if len(conjugates) == B.e0 else _least(B, conjugates),
+                        len(conjugates), table)
+             for B, e, conjugates in _shoda_classes(G)]
     comps.sort(key=SimpleComponent.sort_key)
     total = sum(c.q_dimension for c in comps)
     if total != G.order:

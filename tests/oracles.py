@@ -14,9 +14,9 @@ from metacyclic.invariants import (MCInv, derive_rek, local_params, mcinv,
 from metacyclic.numth import (UnitSubgroup, _canonical, _powers, cyclic_subgroup,
                               divisors, lcm, mult_order, orbit, p_part, part, phi,
                               prime_factors, primes_of, restrict, units, vp)
-from metacyclic.wedderburn import (FixedField, SimpleComponent, _coset_generator,
-                                   cyclotomic_field, fixed_field, is_subfield,
-                                   roots_of_unity_order)
+from metacyclic.wedderburn import (FixedField, SimpleComponent, _Block, _character,
+                                   _class_of, _coset_generator, cyclotomic_field,
+                                   fixed_field, is_subfield, roots_of_unity_order)
 
 
 def coset_order(G: MetacyclicGroup, x: El, K: Subgroup) -> int:
@@ -297,6 +297,50 @@ def scan_component(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleCompon
         center=center,
         total_degree=total_degree,
         q_dimension=total_degree * total_degree * center.degree,
+    )
+
+
+def searched_component(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponent:
+    """`component_of` with x read through u for every class, N = L
+    included: u = a^i b^(e0 k) is the first (i, k) with chi(u) a unit mod
+    [L:K], chi the character of `_character`, and x = chi(w^-1 u w) /
+    chi(u) with w = b^f_N, where the fast path takes the closed form for
+    N = L and x by CRT for N > L."""
+    c, e, f = K.triple
+    e0 = mult_order(G.t, c)
+    if f % e0 or L != G.l_subgroup(e0):
+        raise ValueError("(L, K) is not a strong Shoda pair of G")
+    B = _Block(G, c, f, e0)
+    f_N = len(_class_of(B, e))
+    idx, p = B.idx, B.gamma
+    alpha = math.gcd(c, (B.n0 * e + B.fp * G.s) // p)
+    if alpha * p != idx:
+        raise InvariantError(f"[L:K] = {idx} is not {alpha} * {p}")
+    q = _character(B, e, alpha)
+    i, k = next((i, k) for i in range(G.m) if math.gcd(p * i, q, idx) == 1
+                for k in range(G.n // e0) if math.gcd(p * i + q * k, idx) == 1)
+    inv = pow(p * i + q * k, -1, idx)
+    x = (p * (i * pow(G.t, -f_N, c)) + q * k) * inv % idx
+    if f_N < e0:
+        b_e0 = G.power((0, f_N), e0 // f_N)
+        y = (p * b_e0[0] + q * (b_e0[1] // e0)) * inv % idx
+    else:
+        y = 0
+    if math.gcd(x, idx) != 1:
+        raise InvariantError("conjugation must act by a unit")
+    action = cyclic_subgroup(x, idx)
+    center = fixed_field(idx, action)
+    if e0 != f_N * action.order:
+        raise InvariantError(f"degree {e0} is not {f_N} "
+                             f"times the action order {action.order}")
+    return SimpleComponent(
+        matrix_size=f_N,
+        conductor=idx,
+        x=x,
+        y=y,
+        center=center,
+        total_degree=e0,
+        q_dimension=e0 * e0 * center.degree,
     )
 
 

@@ -63,7 +63,8 @@ def _m_pi_prime(G: MetacyclicGroup) -> int:
 def test_recover_r_from_spectrum_alone() -> None:
     for G in (S3, MetacyclicGroup(6, 2, 0, 5), MetacyclicGroup(12, 2, 6, 5), G219):
         _, der = mcinv(G)
-        got = recover_R(decomposition(canonical_form(G)), _m_pi_prime(G))
+        m_pp = _m_pi_prime(G)
+        got = recover_R(a1a2_components(decomposition(canonical_form(G)), m_pp), m_pp)
         assert got == der.R
 
 

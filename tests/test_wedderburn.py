@@ -37,7 +37,8 @@ from metacyclic.wedderburn import (
 )
 from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, from_generators, lcm, units
 from oracles import (conjugacy_classes, coset_order, qualifies, scan_component,
-                     scan_fixed_field, scan_roots_of_unity_order, walk_pairs)
+                     scan_fixed_field, scan_roots_of_unity_order, searched_component,
+                     walk_pairs)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -218,23 +219,50 @@ def test_strong_shoda_pairs_return_the_least_conjugate_of_each_class() -> None:
 def test_pairs_and_components_against_the_lattice_walk() -> None:
     """strong_shoda_pairs and component_of, which read the classes and the
     components off (c, e, f), against the walk of `subgroups()` with its
-    coset-order test and the element scans and coset walks of the old
-    component route, on every consistent presentation up to order 64 and
-    every class up to order 256: the same pairs in the same order, equal
-    components, and decomposition, the one pass over the (c, f) blocks,
-    equal to those components sorted."""
+    coset-order test, the element scans and coset walks of the old
+    component route, and `searched_component`, which reads x through u
+    for every class, on every consistent presentation up to order 64,
+    every class up to order 256 and the ten classes up to order 1024
+    (orders 512 to 1024) in which some strong Shoda pair has a twist y
+    that depends on which conjugate K is taken: the same pairs in the
+    same order, equal components, and decomposition, the one pass over
+    the (c, f) blocks, equal to those components sorted."""
     checked = pairs = 0
+    twisted = [MetacyclicGroup(*p) for p in (
+        (21, 42, 0, 2), (27, 27, 9, 4), (32, 16, 8, 9), (32, 32, 16, 9), (32, 32, 8, 5),
+        (35, 28, 0, 13), (36, 18, 12, 7), (36, 18, 6, 7), (45, 18, 15, 4), (64, 16, 8, 9))]
     groups = consistent_presentations(64) + [construct_group(inv)
-                                             for inv in valid_tuples(256)]
+                                             for inv in valid_tuples(256)] + twisted
     for G in groups:
         want = walk_pairs(G)
         assert strong_shoda_pairs(G) == want, G
         comps = [component_of(G, L, K) for L, K in want]
         assert comps == [scan_component(G, L, K) for L, K in want], G
+        assert comps == [searched_component(G, L, K) for L, K in want], G
         assert decomposition(G) == tuple(sorted(comps, key=SimpleComponent.sort_key)), G
         checked += 1
         pairs += len(want)
-    assert (checked, pairs) == (3786 + 1365, 40528)
+    assert (checked, pairs) == (3786 + 1365 + 10, 40528 + 335)
+
+
+def test_classes_with_n_equal_to_l_read_no_character(monkeypatch) -> None:
+    """A class with N_G(K) = L has the component M_e0(Q(zeta_[L:K])) in
+    closed form: with `_character` raising, every abelian presentation up
+    to order 64 (t = 1, so every class has N = L) keeps the components
+    that the search for u gives, while S3, whose class (3, 0, 2) has
+    f_N = 1 < e0 = 2, still reads the character."""
+    abelian = [G for G in consistent_presentations(64) if G.t == 1]
+    want = [tuple(sorted((searched_component(G, L, K) for L, K in strong_shoda_pairs(G)),
+                         key=SimpleComponent.sort_key)) for G in abelian]
+
+    def no_character(*args):
+        raise AssertionError("character read")
+
+    monkeypatch.setattr(wedderburn, "_character", no_character)
+    assert [decomposition.__wrapped__(G) for G in abelian] == want
+    assert len(abelian) == 3403
+    with pytest.raises(AssertionError, match="character read"):
+        decomposition.__wrapped__(S3)
 
 
 def test_component_of_rejects_what_is_not_a_pair() -> None:
@@ -410,6 +438,13 @@ def test_pair_and_component_checks_raise_invariant_error(monkeypatch) -> None:
     fails = [e for e in section7_witness(G, 2) if e["status"] != "pass"]
     assert len(fails) == 1 and "strong Shoda pair" in fails[0]["check"]
     assert "action order" in fails[0]["lhs"]
+    monkeypatch.undo()
+
+    # S3's class (3, 0, 2) has q = 0, so b acts by 2 mod 3 on chi(a) and
+    # must fix chi(b^e0); with q = 1 the two residues disagree.
+    monkeypatch.setattr(wedderburn, "_character", lambda B, e, alpha: 1 % B.idx)
+    with pytest.raises(InvariantError, match="acts on L/K"):
+        decomposition.__wrapped__(S3)
     monkeypatch.undo()
 
     monkeypatch.setattr(group, "part", lambda k, primes: 0)
