@@ -6,6 +6,14 @@ wedderburn (rational group algebra decomposition), isoq (isomorphism
 query for groups and algebras side by side), verify (the property-check
 suite).  Data goes to stdout; stderr carries only errors and the
 `[verify]` summary lines.  Output bytes are independent of --jobs.
+
+Every row of `verify` is `{check, status, lhs, rhs, group}`, built by
+`invariants.check_entry`, with `status` one of pass, fail and n/a.  Each
+check returns such rows, and one rule counts them: a row is checked
+unless it is n/a, and a failure when it fails.  Only the rows that do
+not pass are printed, followed by one summary row per check (lhs the
+checked count, rhs the failures).  The one printed n/a row is the
+countC flag where the displayed degree-l table disagrees with the count.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .analysis import (
 from .group import InvariantError, MetacyclicGroup
 from .invariants import (
     MCInv,
+    check_entry,
     construct_group,
     isomorphic,
     mcinv,
@@ -167,111 +176,82 @@ def cmd_isoq(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> list
 # ---------------------------------------------------------------------------
 # verification checks
 
-# Every check walks the classifying tuples up to the order bound and
-# reports only abnormal findings; per-check totals go into summary rows.
-# The brute-force isomorphism oracle is quadratic in the number of
-# presentations and is capped separately.
+# Every check walks the classifying tuples up to the order bound.  A
+# group check returns `check_entry` rows; `_group_work` counts and labels
+# them by one rule.  The brute-force isomorphism oracle is quadratic in
+# the number of presentations and is capped separately.
 
 
-def _finding(check: str, status: str, lhs, rhs, group: str) -> dict:
-    return {"check": check, "status": status, "lhs": lhs, "rhs": rhs,
-            "group": group}
-
-
-def _group_label(inv: MCInv) -> str:
-    return (f"({inv.m},{inv.n},{inv.s},<{inv.delta_gen}>_{inv.m_prime})")
-
-
-def _check_roundtrip(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+def _check_roundtrip(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
     got = mcinv(G)[0]
-    if got == inv:
-        return 1, []
-    return 1, [_finding("roundtrip", "fail", inv.to_json(), got.to_json(),
-                        _group_label(inv))]
+    return [check_entry("roundtrip", got == inv, inv.to_json(), got.to_json())]
 
 
-def _check_dimension(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+def _check_dimension(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
     total = sum(c.q_dimension for c in decomposition(G))
-    if total == G.order:
-        return 1, []
-    return 1, [_finding("dimension", "fail", total, G.order, _group_label(inv))]
+    return [check_entry("dimension", total == G.order, total, G.order)]
 
 
-def _check_perlis_walker(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+def _check_perlis_walker(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
     got = commutative_conductors(decomposition(G))
     want = perlis_walker_conductors(G.abelianization_invariants())
-    if got == want:
-        return 1, []
-    return 1, [_finding("perlis-walker", "fail", list(got), list(want),
-                        _group_label(inv))]
+    return [check_entry("perlis-walker", got == want, list(got), list(want))]
 
 
-def _check_recover_r(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+def _check_recover_r(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
     der = mcinv(G)[1]
     m_pp = part(inv.m, der.pi_prime)
     cands = a1a2_components(decomposition(G), m_pp)
-    out = []
     got = recover_R(cands, m_pp)
-    if got != der.R:
-        out.append(_finding("recoverR", "fail", repr(got), repr(der.R),
-                            _group_label(inv)))
     deg = max(c.total_degree for c in cands)
     branch = max_degree_branch(G)
-    if deg != branch:
-        out.append(_finding("recoverR", "fail", deg, branch, _group_label(inv)))
-    return 2, out
+    return [check_entry("recoverR", got == der.R, repr(got), repr(der.R)),
+            check_entry("recoverR", deg == branch, deg, branch)]
 
 
-def _per_prime(check: str, report_of, inv: MCInv,
-               G: MetacyclicGroup) -> tuple[int, list[dict]]:
-    """Entries of report_of(G, p) over the primes p in pi: those not n/a
-    are checked, the failed ones become findings labelled check[p=...]."""
-    checked = 0
+def _per_prime(check: str, report_of, G: MetacyclicGroup) -> list[dict]:
+    """The rows of report_of(G, p) over the primes p in pi that are not
+    n/a, each renamed check[p=...] <its name>."""
     out = []
     for p in mcinv(G)[1].pi:
+        prefix = f"{check}[p={p}] "
         for entry in report_of(G, p):
-            checked += entry["status"] != "n/a"
-            if entry["status"] == "fail":
-                out.append(_finding(f"{check}[p={p}] {entry['check']}", "fail",
-                                    entry["lhs"], entry["rhs"],
-                                    _group_label(inv)))
-    return checked, out
+            if entry["status"] != "n/a":
+                entry["check"] = prefix + entry["check"]
+                out.append(entry)
+    return out
 
 
-def _check_degpag(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
-    return _per_prime("degpag", sylow_mcinv_consistency, inv, G)
+def _check_degpag(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
+    return _per_prime("degpag", sylow_mcinv_consistency, G)
 
 
-def _check_count_b(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
+def _check_count_b(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
     want = formula_NE(G)
     if want is None:
-        return 0, []
+        return []
     got = count_B(G)
-    if got == want:
-        return 1, []
-    return 1, [_finding("countB", "fail", got, want, _group_label(inv))]
+    return [check_entry("countB", got == want, got, want)]
 
 
-def _check_count_c(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
-    checked = 0
+def _check_count_c(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
+    """One row per prime of the counting regime, and a printed, uncounted
+    n/a row where the displayed degree-l table disagrees with the count."""
     out = []
     for p in mcinv(G)[1].pi:
         if not regime_U(G, p):
             continue
-        checked += 1
         got = count_C(G, p)
         want, displayed = formula_NG(G, p)
-        if got != want:
-            out.append(_finding(f"countC[p={p}]", "fail", got, want,
-                                _group_label(inv)))
+        out.append(check_entry(f"countC[p={p}]", got == want, got, want))
         if displayed != got:
-            out.append(_finding(f"countC[p={p}] displayed-table branch", "n/a",
-                                got, displayed, _group_label(inv)))
-    return checked, out
+            out.append(check_entry(f"countC[p={p}] displayed-table branch",
+                                   False, got, displayed) | {"status": "n/a"})
+    return out
 
 
-def _check_section7(inv: MCInv, G: MetacyclicGroup) -> tuple[int, list[dict]]:
-    return _per_prime("section7", section7_witness, inv, G)
+def _check_section7(inv: MCInv, G: MetacyclicGroup) -> list[dict]:
+    return _per_prime("section7", section7_witness, G)
 
 
 _GROUP_CHECKS = {
@@ -288,17 +268,28 @@ CHECK_NAMES = (*_GROUP_CHECKS, "iso-oracle")
 
 
 def _group_work(item: tuple[MCInv, tuple[str, ...]]):
-    """({check: (checked, failures)}, findings) of one group.  The tuple
-    comes from `valid_tuples`, which has validated it, so it is only
-    realized."""
+    """({check: (checked, failures)}, findings) of one group.  A row is
+    checked unless it is n/a and a failure when it fails; every row that
+    does not pass is a finding, labelled with the group's tuple.  The
+    tuple comes from `valid_tuples`, which has validated it, so it is
+    only realized."""
     inv, names = item
     G = realize(inv)
+    label = f"({inv.m},{inv.n},{inv.s},<{inv.delta_gen}>_{inv.m_prime})"
     counts = {}
     findings = []
     for name in names:
-        n, out = _GROUP_CHECKS[name](inv, G)
-        counts[name] = (n, sum(f["status"] == "fail" for f in out))
-        findings.extend(out)
+        rows = _GROUP_CHECKS[name](inv, G)
+        checked, failed = len(rows), 0
+        for row in rows:
+            status = row["status"]
+            if status != "pass":
+                findings.append(row | {"group": label})
+                if status == "fail":
+                    failed += 1
+                else:  # n/a: printed, not counted
+                    checked -= 1
+        counts[name] = (checked, failed)
     return counts, findings
 
 
@@ -335,8 +326,8 @@ def check_iso_oracle(max_order: int) -> tuple[int, list[dict]]:
                 want = isomorphic(G, H)
                 got = G.brute_force_isomorphic(H, tables)
                 if got != want:
-                    label = f"{G.key} vs {H.key}"
-                    out.append(_finding("iso-oracle", "fail", got, want, label))
+                    out.append(check_entry("iso-oracle", False, got, want)
+                               | {"group": f"{G.key} vs {H.key}"})
     return checked, out
 
 
@@ -378,8 +369,8 @@ def run_checks(names: tuple[str, ...], max_order: int,
         fails["iso-oracle"] = len(finds)
         findings.extend(finds)
     summaries = [
-        _finding(name, "fail" if fails[name] else "pass",
-                 counts[name], fails[name], "summary")
+        check_entry(name, not fails[name], counts[name], fails[name])
+        | {"group": "summary"}
         for name in names
     ]
     return findings, summaries

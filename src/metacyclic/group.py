@@ -265,9 +265,6 @@ class MetacyclicGroup:
         conjugates = self.conjugates(S)
         return self._from_member(lambda x: all(x in C for C in conjugates))
 
-    def derived_subgroup(self) -> "Subgroup":
-        return Subgroup(self, math.gcd(self.t - 1, self.m), 0, self.n)
-
     def hall_subgroup(self, primes) -> "Subgroup":
         gens = (self.element_part(self.gen_a, primes),
                 self.element_part(self.gen_b, primes))

@@ -158,11 +158,16 @@ def subfield_a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, 
                  and roots_of_unity_order(comp.center) == 2)
 
 
+def derived_subgroup(G: MetacyclicGroup) -> Subgroup:
+    """G' = <a^gcd(t-1, m)>, read off the presentation."""
+    return Subgroup(G, math.gcd(G.t - 1, G.m), 0, G.n)
+
+
 def derived_part(G: MetacyclicGroup, primes) -> Subgroup:
     """The `primes`-part of G' as a subgroup, generated by the part of the
-    generator of `derived_subgroup()`: `t_subgroup` of it is the route
+    generator of `derived_subgroup(G)`: `t_subgroup` of it is the route
     that R = <t> in `mcinv` replaced."""
-    d = G.derived_subgroup()
+    d = derived_subgroup(G)
     return G.cyclic_subgroup(G.element_part(d.generator, primes))
 
 

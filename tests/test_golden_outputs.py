@@ -1,4 +1,4 @@
-"""Byte-identical CLI output: sha256 digests of five fixed runs.
+"""Byte-identical CLI output: sha256 digests of six fixed runs.
 
 A refactor that should change nothing must keep these digests.  A change
 that alters output on purpose updates them and says why.
@@ -36,6 +36,16 @@ def test_verify_output_digest() -> None:
     assert _digest(["verify", "--max-order", "64", "--checks", CHECKS,
                     "--format", "json"]) == \
         "dbc092012b8b560f4898f49b403522f49a927e7b4eb2a6af50db24553ec5b769"
+
+
+def test_verify_csv_table_and_oracle_digest() -> None:
+    # The csv writer over every group check (each has a nonzero checked
+    # count at 48), and the table writer over the iso-oracle summary row.
+    assert _digest(["verify", "--max-order", "48", "--checks", CHECKS,
+                    "--format", "csv"],
+                   ["verify", "--max-order", "24", "--checks", "iso-oracle",
+                    "--format", "table"]) == \
+        "df5709f724cb5d9b2dc14ddfb38075d57e7e5ed8102091e53acda4f3a9e101bd"
 
 
 def test_enumerate_output_digest() -> None:

@@ -16,7 +16,8 @@ from metacyclic.group import (
 )
 from metacyclic.invariants import construct_group, valid_tuples
 from metacyclic.numth import divisors, orbit, p_part
-from oracles import conjugacy_classes, coset_dlog, coset_order, walk_dlog
+from oracles import (conjugacy_classes, coset_dlog, coset_order, derived_subgroup,
+                     walk_dlog)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -103,7 +104,7 @@ def test_brute_force_isomorphism_separates_q8_from_d8() -> None:
 
 
 def test_center_derived_and_class_counts() -> None:
-    assert S3.derived_subgroup().order == 3
+    assert derived_subgroup(S3).order == 3
     assert len(conjugacy_classes(S3)) == 3
     assert len(conjugacy_classes(Q8)) == 5
     assert len(conjugacy_classes(D8)) == 5
@@ -370,7 +371,7 @@ def test_hall_and_sylow_subgroups() -> None:
 
 def test_subgroup_relations() -> None:
     A = D8.cyclic_subgroup(D8.gen_a)
-    assert D8.derived_subgroup().elems <= A.elems
+    assert derived_subgroup(D8).elems <= A.elems
     assert A.is_normal
     assert D8.order // A.order == 2
 

@@ -26,9 +26,10 @@ from metacyclic.invariants import (
 from metacyclic.numth import (cyclic_subgroup, cyclic_subgroups, divisors, part,
                               primes_of, trivial_subgroup)
 from metacyclic.wedderburn import decomposition
-from oracles import (coset_order, derived_part, element_sylow_presentation,
-                     largest_cofactor_index, restricting_derive_rek,
-                     subfield_a1a2_components, walking_construct_group)
+from oracles import (coset_order, derived_part, derived_subgroup,
+                     element_sylow_presentation, largest_cofactor_index,
+                     restricting_derive_rek, subfield_a1a2_components,
+                     walking_construct_group)
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -60,7 +61,7 @@ def test_mcinv_derived_invariants() -> None:
 
 def test_R_against_the_action_on_the_derived_part() -> None:
     """R = <t> mod the pi'-part of |G'| against `t_subgroup` of the
-    pi'-part of G', cut out of the generator of `derived_subgroup()`, for
+    pi'-part of G', cut out of the generator of `derived_subgroup(G)`, for
     every consistent presentation up to order 64."""
     checked = 0
     for G in consistent_presentations(64):
@@ -94,7 +95,7 @@ def test_minimal_factorization_shapes() -> None:
         assert mcinv(G)[0].m == m
         (m_min, _, s), actions = invariants._minimal_factors(G)
         assert m_min == m and actions
-        derived = G.derived_subgroup()
+        derived = derived_subgroup(G)
         cyclics = G.cyclic_subgroups()
         factors = [A for A in cyclics
                    if A.order == m and all(x in A for x in derived)]
