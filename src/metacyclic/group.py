@@ -182,13 +182,20 @@ class MetacyclicGroup:
 
     def _power_sums(self):
         """(f, S, s0) for each f | n: with x = a^e b^f and N = n/f, S is the
-        sum of t^(f l) over l < N and s0 = s for f < n, 0 for f = n, so
-        x^N = a^(e S + s0).  Two `power` calls per f give S and s0."""
-        n = self.n
+        sum of t^(f l) over l < N, taken mod m, and s0 = s for f < n, 0 for
+        f = n, so x^N = a^(e S + s0).  With y = t^f mod m, S is N if
+        y = 1 mod m and else (y^N mod m(y - 1) - 1) / (y - 1), as in
+        `power`.  The callers read S only through gcds and inverses mod
+        divisors of m, so S mod m serves them."""
+        m, n, t = self.m, self.n, self.t
         for f in divisors(n):
             N = n // f
-            s0 = self.power((0, f % n), N)[0]
-            yield f, self.power((1, f % n), N)[0] - s0, s0
+            y = pow(t, f, m)
+            if y == 1 % m:
+                S = N % m
+            else:
+                S = (pow(y, N, m * (y - 1)) - 1) // (y - 1)
+            yield f, S, self.s if f < n else 0
 
     def _canonical_blocks(self, over: int = 0):
         """(c, f, es) for each f | n and c | gcd(m, over) with a canonical

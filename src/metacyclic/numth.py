@@ -2,6 +2,10 @@
 
 Everything here is plain integer arithmetic; factorisations use trial
 division, which is ample for the group orders this package targets.
+Each integer is factored once per process: `_factor` caches its prime
+pairs, primes, divisors and phi together, and `prime_factors`,
+`primes_of`, `divisors` and `phi` read them.  Every unit subgroup is
+interned by `_canonical`.
 """
 
 from __future__ import annotations
@@ -20,36 +24,49 @@ class InvariantError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor n >= 1 into sorted (prime, exponent) pairs."""
+def _factor(n: int) -> tuple[tuple[tuple[int, int], ...], frozenset[int], tuple[int, ...], int]:
+    """The factorization of n >= 1 and what follows from it, from one
+    trial division: the sorted (prime, exponent) pairs, the set of
+    primes, the sorted divisors and Euler's phi(n).  `prime_factors`,
+    `primes_of`, `divisors` and `phi` read it."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    pairs = []
+    rest, d = n, 2
+    while d * d <= rest:
+        if rest % d == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while rest % d == 0:
+                rest //= d
                 e += 1
-            out.append((d, e))
+            pairs.append((d, e))
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    if rest > 1:
+        pairs.append((rest, 1))
+    divs = [1]
+    totient = 1
+    for p, e in pairs:
+        divs = [x * p**i for x in divs for i in range(e + 1)]
+        totient *= p ** (e - 1) * (p - 1)
+    return tuple(pairs), frozenset(p for p, _ in pairs), tuple(sorted(divs)), totient
+
+
+def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 1 into sorted (prime, exponent) pairs."""
+    return _factor(n)[0]
 
 
 def primes_of(n: int) -> frozenset[int]:
-    return frozenset(p for p, _ in prime_factors(n))
+    return _factor(n)[1]
 
 
-@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """Sorted positive divisors of n."""
-    out = [1]
-    for p, e in prime_factors(n):
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return tuple(sorted(out))
+    return _factor(n)[2]
+
+
+def phi(n: int) -> int:
+    return _factor(n)[3]
 
 
 def vp(n: int, p: int) -> int:
@@ -65,29 +82,30 @@ def vp(n: int, p: int) -> int:
 
 
 def p_part(n: int, p: int) -> int:
-    return p ** vp(n, p)
+    """Largest power of p dividing n (n != 0, p >= 2)."""
+    if n == 0 or p < 2:
+        raise ValueError(f"p_part({n}, {p}) is undefined: need n != 0 and p >= 2")
+    n = abs(n)
+    out = 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
 
 
 def part(n: int, primes) -> int:
     """Largest divisor of n supported on the given prime set.  Only the
-    given primes are divided out, so n itself is never factored."""
+    given primes are divided out, so n itself is never factored; a
+    repeated prime divides nothing the second time."""
     if n < 1:
         raise ValueError("n must be positive")
     out = 1
-    for p in set(primes):
+    for p in primes:
         if p < 2:
             raise ValueError(f"part(n, primes) needs every p >= 2, got {p}")
         while n % p == 0:
             n //= p
             out *= p
-    return out
-
-
-@lru_cache(maxsize=None)
-def phi(n: int) -> int:
-    out = 1
-    for p, e in prime_factors(n):
-        out *= p ** (e - 1) * (p - 1)
     return out
 
 
@@ -200,7 +218,7 @@ def from_generators(modulus: int, gens) -> UnitSubgroup:
 
 
 def trivial_subgroup(modulus: int) -> UnitSubgroup:
-    return cyclic_subgroup(1, modulus)
+    return _canonical(modulus, (1 % modulus,))
 
 
 def _powers(t: int, modulus: int) -> list[int]:
@@ -233,10 +251,15 @@ def restrict(sub: UnitSubgroup, q: int) -> UnitSubgroup:
 
 def preimage(sub: UnitSubgroup, modulus: int) -> UnitSubgroup:
     """Inverse image of the subgroup under reduction from `modulus` (a
-    multiple of its modulus); the mirror of `restrict`."""
-    if modulus < 1 or modulus % sub.modulus != 0:
-        raise ValueError(f"{modulus} is not a multiple of the modulus {sub.modulus}")
-    return _canonical(modulus, tuple(x for x in units(modulus) if x in sub))
+    multiple of its modulus); the mirror of `restrict`.  Its elements
+    are the lifts base + h, for base a multiple of q = sub.modulus below
+    `modulus` and h in sub, that are units mod `modulus`; taken by base
+    and then by h, they come sorted."""
+    q = sub.modulus
+    if modulus < 1 or modulus % q != 0:
+        raise ValueError(f"{modulus} is not a multiple of the modulus {q}")
+    lifts = (base + h for base in range(0, modulus, q) for h in sub.elements)
+    return _canonical(modulus, tuple(x for x in lifts if math.gcd(x, modulus) == 1))
 
 
 def _primitive_root(p: int, k: int) -> int:

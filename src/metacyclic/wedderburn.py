@@ -195,9 +195,16 @@ class _Block:
         self.idx = c * f // e0
         self.gamma = gamma
         self.v = pow(fp // gamma, -1, n0 // gamma)
-        self.coprime = math.gcd(c, G.s, n0, fp)
+        self.coprime = _cyclicity_gcd(G, c, f, e0)
         self.t_inv = pow(G.t, -1, c)
         self.head = G.n // f
+
+
+def _cyclicity_gcd(G: MetacyclicGroup, c: int, f: int, e0: int) -> int:
+    """`_Block.coprime`: the gcd of c, s, n/e0 and (f mod n)/e0, to which e
+    is prime iff L/K is cyclic."""
+    n = G.n
+    return math.gcd(c, G.s, n // e0, f % n // e0)
 
 
 def _class_of(B: _Block, e: int) -> list[int]:
@@ -235,11 +242,13 @@ def _shoda_classes(G: MetacyclicGroup):
     of t mod m.  L contains A, so L = <a, b^d> with d | j0; L' <= K
     forces e0 | d, e0 the order of t mod c, and maximality forces d = e0.
     So each block (c, f) of canonical triples is read at once: K lies in
-    L iff e0 | f, and L/K is cyclic iff e is prime to `B.coprime`.
-    Normality of K in L is checked outright: a normalizes K iff
-    t^f = 1 mod c, and b^e0 iff e (t^e0 - 1) = 0 mod c.  The other
-    strong-pair axioms hold by the classification of metabelian group
-    algebras, and :func:`idempotent_check` verifies them at small orders.
+    L iff e0 | f, and L/K is cyclic iff e is prime to `_Block.coprime`.
+    That gcd is computed first, so a `_Block` is built only for a block
+    that holds a class.  Normality of K in L is checked outright: a
+    normalizes K iff t^f = 1 mod c, and b^e0 iff e (t^e0 - 1) = 0 mod c.
+    The other strong-pair axioms hold by the classification of
+    metabelian group algebras, and :func:`idempotent_check` verifies
+    them at small orders.
     """
     t = G.t
     orders: dict[int, int] = {}
@@ -249,8 +258,8 @@ def _shoda_classes(G: MetacyclicGroup):
         e0 = orders[c]
         if f % e0:
             continue
-        B = _Block(G, c, f, e0)
-        coprime = B.coprime
+        coprime = _cyclicity_gcd(G, c, f, e0)
+        B = None
         a_normal = pow(t, f, c) == 1 % c
         b_shift = pow(t, e0, c) - 1
         seen: set[int] = set()
@@ -260,6 +269,8 @@ def _shoda_classes(G: MetacyclicGroup):
             if not a_normal or e * b_shift % c:
                 raise InvariantError(f"{Subgroup(G, c, e, f)!r} is not normal in "
                                      f"{G.l_subgroup(e0)!r} in {G!r}")
+            if B is None:
+                B = _Block(G, c, f, e0)
             conjugates = _class_of(B, e)
             seen.update(conjugates)
             yield B, e, conjugates

@@ -6,6 +6,7 @@ sys.path); nothing in `src/` calls them."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import islice
 
 from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
@@ -94,6 +95,48 @@ def walked_cyclic_subgroup(t: int, modulus: int) -> UnitSubgroup:
     k = len(powers)
     gen = min(powers[j] for j in range(k) if math.gcd(j, k) == 1)
     return UnitSubgroup(modulus, tuple(sorted(powers)), gen)
+
+
+def defined_factorization(n: int) -> tuple[tuple[tuple[int, int], ...], frozenset[int],
+                                           tuple[int, ...], int]:
+    """`numth._factor` from the definitions: the pairs by trial division
+    by every d >= 2, the divisors as the d <= sqrt(n) dividing n and
+    their cofactors, and phi by Euler's product n prod (1 - 1/p)."""
+    pairs, rest, d = [], n, 2
+    while rest > 1:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1
+    divs = sorted({x for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                   for x in (d, n // d)})
+    totient = Fraction(n)
+    for p, _ in pairs:
+        totient *= 1 - Fraction(1, p)
+    return (tuple(pairs), frozenset(p for p, _ in pairs), tuple(divs),
+            int(totient))
+
+
+def scanned_preimage(sub: UnitSubgroup, modulus: int) -> UnitSubgroup:
+    """`numth.preimage` by a scan of every unit mod `modulus`, each tested
+    for membership in `sub`."""
+    return _canonical(modulus, tuple(x for x in units(modulus) if x in sub))
+
+
+def two_power_sums(G: MetacyclicGroup) -> list[tuple[int, int, int]]:
+    """`MetacyclicGroup._power_sums` by two `power` calls per f | n: s0
+    is the a-exponent of (b^f)^(n/f) and S that of (a b^f)^(n/f) less
+    s0, so S is only known mod m."""
+    n = G.n
+    out = []
+    for f in divisors(n):
+        N = n // f
+        s0 = G.power((0, f % n), N)[0]
+        out.append((f, G.power((1, f % n), N)[0] - s0, s0))
+    return out
 
 
 def restricting_derive_rek(m: int, T: UnitSubgroup) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ from metacyclic.group import (
 from metacyclic.invariants import construct_group, valid_tuples
 from metacyclic.numth import divisors, orbit, p_part
 from oracles import (conjugacy_classes, coset_dlog, coset_order, derived_subgroup,
-                     walk_dlog)
+                     two_power_sums, walk_dlog)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -450,3 +450,18 @@ def test_cocyclic_subgroups_of_product_all_valid() -> None:
     # brute-force comparison over all subgroups of C4 x C4
     brute = {S.elems for S in G.subgroups() if _has_cyclic_quotient(G, A, S)}
     assert {S.elems for S in subs} == brute
+
+
+def test_power_sums_against_two_power_calls() -> None:
+    """The closed-form power sums against two `power` calls per f | n: the
+    same f and s0, and S equal mod m and reduced mod m, on every
+    consistent presentation up to order 64 and every class up to 1024."""
+    groups = itertools.chain(consistent_presentations(64),
+                             map(construct_group, valid_tuples(1024)))
+    for G in groups:
+        want = two_power_sums(G)
+        got = list(G._power_sums())
+        assert [(f, s0) for f, _, s0 in got] == [(f, s0) for f, _, s0 in want], G
+        for (_, S, _), (_, S_old, _) in zip(got, want):
+            assert 0 <= S < G.m, G
+            assert (S - S_old) % G.m == 0, G

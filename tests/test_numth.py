@@ -9,6 +9,7 @@ import pytest
 from metacyclic.cli import consistent_presentations
 from metacyclic.group import MetacyclicGroup
 from metacyclic.numth import (
+    _factor,
     crt_exponent,
     cyclic_subgroup,
     cyclic_subgroups,
@@ -29,7 +30,8 @@ from metacyclic.numth import (
     units,
     vp,
 )
-from oracles import scanned_cyclic_subgroups, walked_cyclic_subgroup
+from oracles import (defined_factorization, scanned_cyclic_subgroups, scanned_preimage,
+                     walked_cyclic_subgroup)
 
 
 def test_prime_factors_reconstruct() -> None:
@@ -82,6 +84,40 @@ def test_valuation_parts_reject_p_below_two() -> None:
         capture_output=True, text=True, timeout=15)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 5
+
+
+def test_factor_against_the_definitions() -> None:
+    """The one cached factorization against trial division, the divisor
+    definition and Euler's product, for every n <= 5000; the four readers
+    return its parts."""
+    for n in range(1, 5001):
+        got = _factor(n)
+        assert got == defined_factorization(n), n
+        assert (prime_factors(n), primes_of(n), divisors(n), phi(n)) == got
+
+
+def test_value_errors_of_p_part_part_divisors_and_phi() -> None:
+    """p_part raises ValueError for n = 0 and for p < 2, part for n < 1
+    and for p < 2, and the four readers of `_factor` for n < 1.  Run in a
+    subprocess, so a loop that does not end fails on the timeout instead
+    of hanging the suite."""
+    calls = ("p_part(0, 2)", "p_part(0, 3)", "p_part(8, 1)", "p_part(8, 0)",
+             "p_part(8, -2)", "part(0, (2,))", "part(-4, (2,))", "part(8, (1,))",
+             "part(8, [2, 0])", "divisors(0)", "divisors(-6)", "phi(0)", "phi(-1)",
+             "prime_factors(0)", "primes_of(0)")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from metacyclic.numth import divisors, p_part, part, phi, prime_factors, primes_of\n"
+         f"for call in {calls!r}:\n"
+         "    try:\n"
+         "        eval(call)\n"
+         "    except ValueError:\n"
+         "        print('ValueError')\n"],
+        capture_output=True, text=True, timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * len(calls)
+    assert p_part(-48, 2) == 16 and p_part(-48, 5) == 1
+    assert part(48, (2, 2, 3)) == 48 and part(48, iter((3,))) == 3
 
 
 def test_phi_and_mult_order_against_brute_force() -> None:
@@ -171,6 +207,17 @@ def test_unit_subgroup_preimage_and_canonical_generator() -> None:
     assert preimage(trivial_subgroup(1), 1) == trivial_subgroup(1)
     with pytest.raises(ValueError):
         preimage(cyc, 24)  # 24 is not a multiple of 16
+
+
+def test_preimage_against_the_unit_scan() -> None:
+    """The preimage built from the lifts of H's residues against the scan
+    of every unit mod M, for every cyclic subgroup H of the units mod d,
+    d | M <= 256; both intern the same subgroup."""
+    for modulus in range(1, 257):
+        for d in divisors(modulus):
+            for sub in cyclic_subgroups(d):
+                assert preimage(sub, modulus) is scanned_preimage(sub, modulus), \
+                    (sub, modulus)
 
 
 def test_orbit_is_the_closure_under_the_action() -> None:

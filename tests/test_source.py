@@ -40,7 +40,7 @@ def test_process_lifetime_caches_are_the_ones_the_readme_lists() -> None:
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any(_is_lru_cache(d) for d in node.decorator_list)}
     assert found == {
-        "numth.prime_factors", "numth.divisors", "numth.phi", "numth._canonical", "invariants.derive_rek", "invariants.valid_tuples",
+        "numth._factor", "numth._canonical", "invariants.derive_rek", "invariants.valid_tuples",
         "invariants.mcinv", "wedderburn.fixed_field", "wedderburn.decomposition",
     }
 
