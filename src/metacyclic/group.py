@@ -22,6 +22,17 @@ from .numth import (InvariantError, crt_exponent, divisors, lcm, orbit, part,
 El = tuple[int, int]
 
 
+def canonical_es(c: int, S: int, s0: int) -> range | None:
+    """The e < c with (c, e, f) canonical, for (f, S, s0) of
+    `MetacyclicGroup._power_sums`: e S = -s0 mod c.  With d = gcd(S, c),
+    None (no e) unless d | s0, and else e0 + k c/d, e0 solving it mod c/d."""
+    d = math.gcd(S, c)
+    if s0 % d:
+        return None
+    step = c // d
+    return range(-s0 // d * pow(S // d, -1, step) % step, c, step)
+
+
 class MetacyclicGroup:
     def __init__(self, m: int, n: int, s: int = 0, t: int = 1):
         if m < 1 or n < 1:
@@ -177,8 +188,13 @@ class MetacyclicGroup:
         return tuple(S for S in self.subgroups() if S.is_cyclic)
 
     def subgroups(self) -> tuple["Subgroup", ...]:
-        """All subgroups, one per canonical triple, by (order, triple)."""
-        return tuple(self._lattice())
+        """All subgroups, one per canonical triple, by (order, triple): the
+        `canonical_es` of each (c, f) block, sorted before any `Subgroup`
+        is built."""
+        m, n = self.m, self.n
+        rows = sorted((m // c * (n // f), c, e, f) for f, S, s0 in self._power_sums()
+                      for c in divisors(m) for e in canonical_es(c, S, s0) or ())
+        return tuple(Subgroup(self, c, e, f) for _, c, e, f in rows)
 
     def _power_sums(self):
         """(f, S, s0) for each f | n: with x = a^e b^f and N = n/f, S is the
@@ -196,31 +212,6 @@ class MetacyclicGroup:
             else:
                 S = (pow(y, N, m * (y - 1)) - 1) // (y - 1)
             yield f, S, self.s if f < n else 0
-
-    def _canonical_blocks(self, over: int = 0):
-        """(c, f, es) for each f | n and c | gcd(m, over) with a canonical
-        triple (c, e, f), es the range of its e.  c | over says that the
-        subgroups contain a^over; over = 0 keeps every c.  By
-        `_power_sums`, (c, e, f) is canonical iff e S = -s0 mod c.  With
-        d = gcd(S, c), no e solves it unless d | s0, and then the e < c
-        are e0 + k c/d, e0 solving it mod c/d."""
-        for f, S, s0 in self._power_sums():
-            for c in divisors(math.gcd(self.m, over)):
-                d = math.gcd(S, c)
-                if s0 % d == 0:
-                    step = c // d
-                    e0 = -s0 // d * pow(S // d, -1, step) % step
-                    yield c, f, range(e0, c, step)
-
-    def _lattice(self, over: int = 0):
-        """The subgroups of the canonical triples of
-        `_canonical_blocks(over)`, by (order, triple).  The triples are
-        sorted first, and each `Subgroup` is built only when the caller
-        reaches it."""
-        m, n = self.m, self.n
-        rows = sorted((m // c * (n // f), c, e, f)
-                      for c, f, es in self._canonical_blocks(over) for e in es)
-        return (Subgroup(self, c, e, f) for _, c, e, f in rows)
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .group import InvariantError, MetacyclicGroup, Subgroup
+from .group import InvariantError, MetacyclicGroup, Subgroup, canonical_es
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
@@ -208,21 +208,28 @@ def _minimal_factors(G: MetacyclicGroup):
 
     G/A = B/(A meet B) is cyclic, so A contains G' = <a^g> with
     g = gcd(t - 1, m), and every subgroup containing G' is normal: only
-    the A = <a^c, a^e b^f> with c | g are tried, in (order, triple)
-    order, and the search ends once |A| passes the least order that
-    factors.  For each, `_cofactor_index` gives [G:B] for the largest
-    cyclic B mapping onto G/A and the action of G on A, or None when A or
-    G/A is not cyclic.
+    the A = <a^c, a^e b^f> with c | g are tried.  The (c, f) blocks are
+    walked by (|A|, c), which fixes f, and by ascending e in each, so in
+    (order, triple) order; a block's e (`canonical_es`) are solved and
+    its subgroups built only when the walk reaches it, and the walk ends
+    at the first block whose order passes the least order that factors.
+    For each A, `_cofactor_index` gives [G:B] for the largest cyclic B
+    onto G/A and the action of G on A, or None when A or G/A is not
+    cyclic.
     """
-    g = math.gcd(G.t - 1, G.m)
+    m, n = G.m, G.n
+    cs = divisors(math.gcd(G.t - 1, m))
+    blocks = sorted((m // c * (n // f), c, f, S, s0)
+                    for f, S, s0 in G._power_sums() for c in cs)
     found = []
-    for A in G._lattice(over=g):
-        if found and A.order > found[0][0][0]:
+    for order, c, f, S, s0 in blocks:
+        if found and order > found[0][0][0]:
             break
-        hit = _cofactor_index(G, A)
-        if hit is not None:
-            s, T = hit
-            found.append(((A.order, derive_rek(A.order, T)[0], s), T))
+        for e in canonical_es(c, S, s0) or ():
+            hit = _cofactor_index(G, Subgroup(G, c, e, f))
+            if hit is not None:
+                s, T = hit
+                found.append(((order, derive_rek(order, T)[0], s), T))
     if not found:
         raise InvariantError(f"{G!r} has no metacyclic factorization")
     best = min(key for key, _ in found)

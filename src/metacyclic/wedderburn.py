@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 
-from .group import El, InvariantError, MetacyclicGroup, Subgroup
+from .group import El, InvariantError, MetacyclicGroup, Subgroup, canonical_es
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
@@ -180,13 +181,13 @@ class _Block:
     e0 | f.  L/<a^c> is abelian on a and b^e0, so L/K is Z^2 modulo the
     rows (c, 0), (-s, n0) and (e, f'), with n0 = n/e0 and
     f' = (f mod n)/e0; it is cyclic iff the first invariant factor, the
-    gcd of the entries, is 1, that is iff e is prime to `coprime`, the
-    gcd of the other four.  The rest serve `_class_of` (t^-1 mod c),
+    gcd of the entries, is 1, that is iff e is prime to the gcd of the
+    other four, `_cyclicity_gcd`.  The rest serve `_class_of` (t^-1 mod c),
     `_least` (n/f) and `_component`: [L:K] = c f/e0, and gamma and v of
     the Hermite basis of `_character`."""
 
     __slots__ = ("G", "c", "f", "e0", "n0", "fp", "idx", "gamma", "v",
-                 "coprime", "t_inv", "head")
+                 "t_inv", "head")
 
     def __init__(self, G: MetacyclicGroup, c: int, f: int, e0: int):
         n0, fp = G.n // e0, f % G.n // e0
@@ -195,14 +196,13 @@ class _Block:
         self.idx = c * f // e0
         self.gamma = gamma
         self.v = pow(fp // gamma, -1, n0 // gamma)
-        self.coprime = _cyclicity_gcd(G, c, f, e0)
         self.t_inv = pow(G.t, -1, c)
         self.head = G.n // f
 
 
 def _cyclicity_gcd(G: MetacyclicGroup, c: int, f: int, e0: int) -> int:
-    """`_Block.coprime`: the gcd of c, s, n/e0 and (f mod n)/e0, to which e
-    is prime iff L/K is cyclic."""
+    """The gcd of c, s, n/e0 and (f mod n)/e0, to which e is prime iff
+    L/K is cyclic (see `_Block`)."""
     n = G.n
     return math.gcd(c, G.s, n // e0, f % n // e0)
 
@@ -241,22 +241,20 @@ def _shoda_classes(G: MetacyclicGroup):
     The fixed maximal abelian subgroup is A = <a, b^j0> with j0 the order
     of t mod m.  L contains A, so L = <a, b^d> with d | j0; L' <= K
     forces e0 | d, e0 the order of t mod c, and maximality forces d = e0.
-    So each block (c, f) of canonical triples is read at once: K lies in
-    L iff e0 | f, and L/K is cyclic iff e is prime to `_Block.coprime`.
-    That gcd is computed first, so a `_Block` is built only for a block
-    that holds a class.  Normality of K in L is checked outright: a
+    So each block (c, f) is read at once: K lies in L iff e0 | f, tested
+    before its e are solved (`canonical_es`), and L/K is cyclic iff e is
+    prime to `_cyclicity_gcd`, computed first, so a `_Block` is built only
+    for a block that holds a class.  Normality of K in L is checked: a
     normalizes K iff t^f = 1 mod c, and b^e0 iff e (t^e0 - 1) = 0 mod c.
     The other strong-pair axioms hold by the classification of
     metabelian group algebras, and :func:`idempotent_check` verifies
     them at small orders.
     """
     t = G.t
-    orders: dict[int, int] = {}
-    for c, f, es in G._canonical_blocks():
-        if c not in orders:
-            orders[c] = mult_order(t, c)
-        e0 = orders[c]
-        if f % e0:
+    orders = [(c, mult_order(t, c)) for c in divisors(G.m)]
+    for (f, S, s0), (c, e0) in product(G._power_sums(), orders):
+        es = None if f % e0 else canonical_es(c, S, s0)
+        if es is None:
             continue
         coprime = _cyclicity_gcd(G, c, f, e0)
         B = None
@@ -539,9 +537,10 @@ def component_of(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleComponen
     (L, K) of G, as computed by `_component` for that K."""
     c, e, f = K.triple
     e0 = mult_order(G.t, c)
-    B = _Block(G, c, f, e0)
-    if f % e0 or L != G.l_subgroup(e0) or math.gcd(B.coprime, e) != 1:
+    if (f % e0 or L != G.l_subgroup(e0)
+            or math.gcd(_cyclicity_gcd(G, c, f, e0), e) != 1):
         raise ValueError("(L, K) is not a strong Shoda pair of G")
+    B = _Block(G, c, f, e0)
     return _component(B, e, len(_class_of(B, e)), {})
 
 

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup
+from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup, canonical_es
 from metacyclic.invariants import (MCInv, derive_rek, local_params, mcinv,
                                    sylow_presentation)
 from metacyclic.numth import (UnitSubgroup, _canonical, _powers, cyclic_subgroup,
@@ -199,6 +199,19 @@ def subfield_a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, 
     return tuple(comp for comp in decomp
                  if is_subfield(comp.center, ambient)
                  and roots_of_unity_order(comp.center) == 2)
+
+
+def sorted_factor_rows(G: MetacyclicGroup) -> list[tuple[int, tuple[int, int, int]]]:
+    """(order, triple) of the candidate factors of the route that
+    `_minimal_factors`' block walk replaced: the e of every (c, f) block
+    with c | g, g = gcd(t - 1, m), solved up front and sorted.  That route
+    tried them in turn and stopped at the first one whose order passed
+    the least order that factors."""
+    m, n = G.m, G.n
+    return sorted((m // c * (n // f), (c, e, f))
+                  for f, S, s0 in G._power_sums()
+                  for c in divisors(math.gcd(G.t - 1, m))
+                  for e in canonical_es(c, S, s0) or ())
 
 
 def derived_subgroup(G: MetacyclicGroup) -> Subgroup:

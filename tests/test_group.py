@@ -10,6 +10,7 @@ from metacyclic.cli import consistent_presentations
 from metacyclic.group import (
     MetacyclicGroup,
     Subgroup,
+    canonical_es,
     cocyclic_subgroup_from_triple,
     cocyclic_subgroups_of_product,
     cocyclic_triples,
@@ -323,10 +324,20 @@ def test_lattice_against_the_candidate_filter() -> None:
     None.  Both equal the filter over every candidate triple, and its
     cyclic members, on every consistent presentation up to order 64; the
     generators of the cyclic listing are those read off the bare
-    triples."""
+    triples.  For every (c, f), `canonical_es`, which `_minimal_factors`
+    and `wedderburn._shoda_classes` also call on blocks of their own,
+    gives the e of the filtered triples with that (c, f), or None when
+    there is none."""
     checked = 0
     for G in consistent_presentations(64):
         filtered = _filtered_lattice(G)
+        want: dict[tuple[int, int], list[int]] = {}
+        for c, e, f in (S.triple for S in filtered):
+            want.setdefault((c, f), []).append(e)
+        solved = {(c, f): list(es) for f, S, s0 in G._power_sums()
+                  for c in divisors(G.m)
+                  if (es := canonical_es(c, S, s0)) is not None}
+        assert solved == want, G
         assert G.subgroups() == filtered, G
         cyclic = tuple(S for S in filtered if S.is_cyclic)
         listed = G.cyclic_subgroups()

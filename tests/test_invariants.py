@@ -28,8 +28,8 @@ from metacyclic.numth import (cyclic_subgroup, cyclic_subgroups, divisors, part,
 from metacyclic.wedderburn import decomposition
 from oracles import (coset_order, derived_part, derived_subgroup,
                      element_sylow_presentation, largest_cofactor_index,
-                     restricting_derive_rek, subfield_a1a2_components,
-                     walking_construct_group)
+                     restricting_derive_rek, sorted_factor_rows,
+                     subfield_a1a2_components, walking_construct_group)
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -136,18 +136,37 @@ def _minimal_pairs(G: MetacyclicGroup):
     return best_key, pairs
 
 
-def test_minimal_factors_against_the_pair_search() -> None:
+def test_minimal_factors_against_the_pair_search(monkeypatch) -> None:
     """Same key, and the same actions in the same order: those of the
     distinct factors A of the minimizing pairs, for every class up to
-    order 256 and every consistent presentation up to order 64."""
+    order 256 and every consistent presentation up to order 64.  The A
+    handed to `_cofactor_index` are those of the sorted route the block
+    walk replaced (`sorted_factor_rows`), cut after the least order that
+    factors; the totals pin the blocks solved and the rows reached by the
+    walk against the blocks and rows of that route."""
     checked = 0
     groups = [construct_group(inv) for inv in valid_tuples(256)]
+    tried, solved = [], []
+    cofactor_index, canonical_es = invariants._cofactor_index, invariants.canonical_es
+    monkeypatch.setattr(invariants, "_cofactor_index",
+                        lambda G, A: tried.append(A) or cofactor_index(G, A))
+    monkeypatch.setattr(invariants, "canonical_es",
+                        lambda *args: solved.append(args) or canonical_es(*args))
+    reached = old_blocks = old_rows = 0
     for G in groups + consistent_presentations(64):
         key, pairs = _minimal_pairs(G)
         actions = tuple(t_subgroup(G, A) for A in dict.fromkeys(A for A, _ in pairs))
+        tried.clear()
         assert invariants._minimal_factors(G) == (key, actions), G
+        rows = sorted_factor_rows(G)
+        assert [A.triple for A in tried] == [
+            triple for order, triple in rows if order <= key[0]], G
+        reached += len(tried)
+        old_blocks += len(divisors(math.gcd(G.t - 1, G.m))) * len(divisors(G.n))
+        old_rows += len(rows)
         checked += 1
     assert checked == 5151
+    assert (len(solved), reached, old_blocks, old_rows) == (8694, 11379, 34422, 39072)
 
 
 def test_cofactor_index_against_the_walk_over_b() -> None:
