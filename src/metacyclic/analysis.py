@@ -16,8 +16,7 @@ Sylow data depend only on the isomorphism class, so `count_B`,
 witness constructions refer to the generators a and b of a minimal
 metacyclic factorization: `max_degree_branch`, `formula_NE` and
 `section7_witness` rebuild the canonical presentation once their
-invariant-only gate has passed, and `uvt_of`, `normalizer_of_K` and
-`formula_NG` once `regime_U` holds.
+invariant-only gate has passed, and `formula_NG` once `regime_U` holds.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .invariants import (
     construct_group,
     local_params,
     mcinv,
-    pi_sets,
     sylow_presentation,
 )
 from .numth import (
@@ -63,8 +61,6 @@ from .wedderburn import (
     galois_preimage,
     intersect_cyclotomic,
     is_subfield,
-    perlis_walker,
-    roots_of_unity_order,
 )
 
 
@@ -86,7 +82,7 @@ def a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, ...]:
     so a center embeds iff its conductor divides m_pi'."""
     return tuple(comp for comp in decomp
                  if m_pi_prime % comp.center.conductor == 0
-                 and roots_of_unity_order(comp.center) == 2)
+                 and comp.center.torsion == 2)
 
 
 def _count_components(decomp, degree: int, banned: tuple[int, ...]) -> int:
@@ -95,7 +91,7 @@ def _count_components(decomp, degree: int, banned: tuple[int, ...]) -> int:
     count = 0
     for comp in decomp:
         if comp.total_degree == degree:
-            tor = roots_of_unity_order(comp.center)
+            tor = comp.center.torsion
             count += not any(tor % q == 0 for q in banned)
     return count
 
@@ -275,19 +271,9 @@ def _scaled_sylow_generator(G: MetacyclicGroup, p: int) -> El:
     return G.power(a_p, w)
 
 
-def _regime_canonical_form(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
-    """canonical_form(G), once G is known to lie in the counting regime at p."""
-    if not regime_U(G, p):
-        raise ValueError("group is outside the counting regime at this prime")
-    return canonical_form(G)
-
-
-def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
-    return _uvt(_regime_canonical_form(G, p), p)
-
-
 def _uvt(GC: MetacyclicGroup, p: int) -> UVT:
-    """uvt_of for the canonical presentation GC of a group in the regime."""
+    """The `UVT` of the canonical presentation GC of a group in the
+    counting regime at p (`regime_U`)."""
     inv, der = mcinv(GC)
     mu, nu, _, rho, _ = local_params(GC, p)
     l_p = max(p_part(der.k, p), p ** (mu - rho))
@@ -309,25 +295,6 @@ def _uvt(GC: MetacyclicGroup, p: int) -> UVT:
     if orders != (u, v, u * v):
         raise InvariantError(f"|g|, |h|, |<g, h>| = {orders}, not ({u}, {v}, {u * v})")
     return UVT(v, u, t, g, h)
-
-
-def _check_triple(uvt: UVT, p: int, triple: tuple[int, int, int]) -> None:
-    if tuple(triple) not in cocyclic_triples(uvt.u, uvt.v, p):
-        raise ValueError(f"{triple} does not parametrize a cocyclic subgroup")
-
-
-def normalizer_of_K(G: MetacyclicGroup, p: int,
-                    triple: tuple[int, int, int]) -> Subgroup:
-    """Predicted normalizer of the parametrized cocyclic subgroup of
-    L_p: all of G except for i = 2 past the threshold, where it drops
-    to <a, b^(y/t)>."""
-    GC = _regime_canonical_form(G, p)
-    uvt = _uvt(GC, p)
-    _check_triple(uvt, p, triple)
-    i, y, _ = triple
-    if i == 2 and y >= uvt.t:
-        return GC.l_subgroup(y // uvt.t)
-    return GC.l_subgroup(1)
 
 
 def count_C(G: MetacyclicGroup, p: int) -> int:
@@ -414,7 +381,9 @@ def formula_NG(G: MetacyclicGroup, p: int) -> tuple[int, int | None]:
     table carries transcription defects in two branches; displayed is
     None when the printed table does not even give an integer.
     """
-    GC = _regime_canonical_form(G, p)
+    if not regime_U(G, p):
+        raise ValueError("group is outside the counting regime at this prime")
+    GC = canonical_form(G)
     inv, der = mcinv(GC)
     mu, nu, _, rho, _ = local_params(GC, p)
     k_p = p_part(der.k, p)
@@ -584,42 +553,4 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
             GC, "case 2", L, K0, m_pp * mp_p, k,
             [(f"Q(zeta_{m_pp})", m_pp, F0),
              (f"Q(zeta_{mp_p})", mp_p, cyclotomic_field(r_p))])
-    return out
-
-
-# -- invariants shared by groups with one classifying tuple ------------------
-
-
-def piIgual_check(G: MetacyclicGroup, H: MetacyclicGroup) -> list[dict]:
-    """Invariants that must coincide once the classifying tuples do.
-
-    The interesting direction (isomorphic rational algebras force these)
-    needs an algebra-isomorphism decider, so the implemented check takes
-    tuple equality as premise and recomputes every clause from the raw
-    presentations, which may differ.
-    """
-    invG, derG = mcinv(G)
-    invH, derH = mcinv(H)
-    if invG != invH:
-        return [check_entry("piIgual premise: classifying tuples agree", False,
-                            invG.to_json(), invH.to_json()) | {"status": "n/a"}]
-    out = []
-    pwG = perlis_walker(G.abelianization_invariants())
-    pwH = perlis_walker(H.abelianization_invariants())
-    out.append(check_entry("abelianizations agree (Perlis-Walker multisets)",
-                           pwG == pwH, list(pwG), list(pwH)))
-    piG, piH = pi_sets(G), pi_sets(H)
-    out.append(check_entry("pi agrees", piG[0] == piH[0], list(piG[0]), list(piH[0])))
-    out.append(check_entry("pi' agrees", piG[1] == piH[1], list(piG[1]), list(piH[1])))
-    out.append(check_entry("m_pi' agrees",
-                           part(invG.m, piG[1]) == part(invH.m, piH[1]),
-                           part(invG.m, piG[1]), part(invH.m, piH[1])))
-    out.append(check_entry("n_pi' agrees",
-                           part(invG.n, piG[1]) == part(invH.n, piH[1]),
-                           part(invG.n, piG[1]), part(invH.n, piH[1])))
-    for p in piG[0]:
-        SG = mcinv(sylow_presentation(G, p))[0]
-        SH = mcinv(sylow_presentation(H, p))[0]
-        out.append(check_entry(f"Sylow {p}-subgroups isomorphic", SG == SH,
-                               SG.to_json(), SH.to_json()))
     return out

@@ -16,8 +16,7 @@ import math
 from collections import Counter
 from typing import Iterable
 
-from .numth import (InvariantError, crt_exponent, divisors, lcm, orbit, part,
-                    prime_factors, primes_of)
+from .numth import InvariantError, crt_exponent, divisors, lcm, orbit, primes_of
 
 El = tuple[int, int]
 
@@ -153,12 +152,6 @@ class MetacyclicGroup:
             raise ValueError("target does not lie in <g>")
         return k0 + rest // d * pow(u // d, -1, m // d) % (m // d) * step
 
-    def generates_quotient(self, x: El, K: "Subgroup", idx: int) -> bool:
-        """Whether xK has order idx, for x in a group H of index idx over
-        its normal subgroup K: x^idx lies in K, so xK has order idx iff
-        x^(idx/q) does not for each prime q | idx."""
-        return all(self.power(x, idx // q) not in K for q, _ in prime_factors(idx))
-
     # -- subgroups --------------------------------------------------------
 
     def generated(self, gens: Iterable[El]) -> "Subgroup":
@@ -263,15 +256,6 @@ class MetacyclicGroup:
         conjugates = self.conjugates(S)
         return self._from_member(lambda x: all(x in C for C in conjugates))
 
-    def hall_subgroup(self, primes) -> "Subgroup":
-        gens = (self.element_part(self.gen_a, primes),
-                self.element_part(self.gen_b, primes))
-        S = self.generated(gens)
-        if S.order != part(self.order, primes):
-            raise InvariantError(f"Hall {primes}-subgroup of {self!r} has "
-                                 f"order {S.order}")
-        return S
-
     # -- structure --------------------------------------------------------
 
     def abelianization_invariants(self) -> tuple[int, ...]:
@@ -339,7 +323,8 @@ class Subgroup:
     it.  It holds `group`, `triple`, `gens` and `order` and nothing else:
     membership, cyclicity, normality and a generator are arithmetic on the
     triple, recomputed on each read, and iteration is lazy and sorted;
-    only `idempotent_check` and the tests build the element set `elems`."""
+    no command builds the element set `elems`, which only the tests and
+    `perfbench/spans.py` read."""
 
     def __init__(self, group: MetacyclicGroup, c: int, e: int, f: int):
         self.group = group

@@ -277,14 +277,6 @@ def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> tuple[int, UnitSubgroup]
     return s, cyclic_subgroup(tau, M)
 
 
-def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(pi, pi'): pi collects the primes with a normal Hall complement."""
-    ps = sorted(primes_of(G.order))
-    pi = tuple(p for p in ps
-               if G.hall_subgroup(tuple(q for q in ps if q != p)).is_normal)
-    return pi, tuple(p for p in ps if p not in pi)
-
-
 @lru_cache(maxsize=None)
 def mcinv(G: MetacyclicGroup) -> tuple[MCInv, DerivedInv]:
     """Classifying tuple of G together with the derived quantities.

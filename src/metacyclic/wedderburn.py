@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .group import El, InvariantError, MetacyclicGroup, Subgroup, canonical_es
+from .group import InvariantError, MetacyclicGroup, Subgroup, canonical_es
 from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
@@ -59,7 +58,8 @@ class FixedField:
 
     @cached_property
     def torsion(self) -> int:
-        """Order of the torsion subgroup of F*, see `roots_of_unity_order`.
+        """Order of the torsion subgroup of F* (always even), computed once
+        per field and kept on the instance, which `fixed_field` interns.
 
         Q(zeta_f) embeds in F exactly when f divides the conductor and
         the whole fixer reduces to 1 mod f, that is when f divides g, the
@@ -164,13 +164,6 @@ def intersect_cyclotomic(F: FixedField, c: int) -> FixedField:
     return fixed_field(g, restrict(F.fixer, g))
 
 
-def roots_of_unity_order(F: FixedField) -> int:
-    """Order of the torsion subgroup of F* (always even), computed once
-    per field by `FixedField.torsion` and kept on the instance, which
-    `fixed_field` interns."""
-    return F.torsion
-
-
 # ---------------------------------------------------------------------------
 # strong Shoda pairs
 
@@ -247,8 +240,8 @@ def _shoda_classes(G: MetacyclicGroup):
     for a block that holds a class.  Normality of K in L is checked: a
     normalizes K iff t^f = 1 mod c, and b^e0 iff e (t^e0 - 1) = 0 mod c.
     The other strong-pair axioms hold by the classification of
-    metabelian group algebras, and :func:`idempotent_check` verifies
-    them at small orders.
+    metabelian group algebras; the exact idempotent arithmetic of the
+    test oracles verifies them at small orders.
     """
     t = G.t
     orders = [(c, mult_order(t, c)) for c in divisors(G.m)]
@@ -284,114 +277,6 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
                   for B, e, conjugates in _shoda_classes(G))
     return tuple((G.l_subgroup(e0), Subgroup(G, c, least, f))
                  for _, c, _, f, least, e0 in rows)
-
-
-# ---------------------------------------------------------------------------
-# exact idempotent verification (small orders)
-
-_Vec = dict  # group element -> Fraction
-
-
-def _alg_mul(G: MetacyclicGroup, f: _Vec, g: _Vec) -> _Vec:
-    out: _Vec = {}
-    for x, c in f.items():
-        for y, d in g.items():
-            z = G.mul(x, y)
-            v = out.get(z, 0) + c * d
-            if v:
-                out[z] = v
-            elif z in out:
-                del out[z]
-    return out
-
-def _conj_vec(G: MetacyclicGroup, f: _Vec, g: El) -> _Vec:
-    return {G.conj(x, g): c for x, c in f.items()}
-
-def _hat(elems) -> _Vec:
-    c = Fraction(1, len(elems))
-    return {x: c for x in elems}
-
-
-def _epsilon(G: MetacyclicGroup, L: Subgroup, K: Subgroup, u: El) -> _Vec:
-    """eps(L, K) = prod over primes q | [L:K] of (K-hat - D_q-hat), where
-    D_q/K is the unique subgroup of order q of the cyclic L/K; the empty
-    product (L = K) is K-hat itself."""
-    idx = L.order // K.order
-    k_elems = K.elems
-    eps = k_hat = _hat(k_elems)
-    for q in {p for p, _ in prime_factors(idx)}:
-        step = G.power(u, idx // q)
-        d_elems = {G.mul(k, G.power(step, i)) for k in k_elems for i in range(q)}
-        term = _hat(sorted(d_elems))
-        diff = dict(k_hat)
-        for x, c in term.items():
-            v = diff.get(x, 0) - c
-            if v:
-                diff[x] = v
-            elif x in diff:
-                del diff[x]
-        eps = _alg_mul(G, eps, diff)
-    return eps
-
-
-def _coset_generator(G: MetacyclicGroup, H: Subgroup, K: Subgroup) -> El:
-    """Smallest element of H generating the cyclic quotient H/K."""
-    idx = H.order // K.order
-    for x in H:
-        if G.generates_quotient(x, K, idx):
-            return x
-    raise ValueError("quotient is not cyclic")
-
-
-def idempotent_check(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> bool:
-    """Exact rational verification that (L, K) behaves like a strong pair.
-
-    Computes eps(L, K) and e(G, L, K) = sum of the distinct conjugates of
-    eps, then checks: eps and e are idempotent, e is central, conjugates
-    of eps from outside N_G(K) are orthogonal to eps, and the elements
-    fixing e by left multiplication are exactly the core of K.  All
-    arithmetic is exact (Fraction vectors indexed by group elements).
-    """
-    if G.order > 128:
-        raise ValueError("exact idempotent arithmetic is capped at order 128")
-    k_elems = K.elems
-    if not all(G.conj(k, g) in k_elems for g in L.gens for k in k_elems):
-        return False
-    u = _coset_generator(G, L, K)
-    eps = _epsilon(G, L, K, u)
-    if _alg_mul(G, eps, eps) != eps:
-        return False
-
-    N = G.normalizer(K)
-    variants: dict[frozenset, _Vec] = {}
-    outside: list[_Vec] = []
-    for g in G.elements:
-        v = _conj_vec(G, eps, g)
-        key = frozenset(v.items())
-        if key not in variants:
-            variants[key] = v
-            if g not in N:
-                outside.append(v)
-    for v in outside:
-        if _alg_mul(G, v, eps):
-            return False
-
-    e: _Vec = {}
-    for v in variants.values():
-        for x, c in v.items():
-            w = e.get(x, 0) + c
-            if w:
-                e[x] = w
-            elif x in e:
-                del e[x]
-    if _alg_mul(G, e, e) != e:
-        return False
-    if any(_conj_vec(G, e, g) != e for g in (G.gen_a, G.gen_b)):
-        return False
-
-    one = Fraction(1)
-    fixers = {g for g in G.elements if _alg_mul(G, {g: one}, e) == e}
-    return fixers == G.core(K).elems
 
 
 # ---------------------------------------------------------------------------

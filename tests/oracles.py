@@ -1,7 +1,11 @@
-"""Routes that the fast paths of `metacyclic` replaced, kept as test
-oracles: scans over elements and subgroups that follow the definitions.
-The test modules import them from here (pytest puts this directory on
-sys.path); nothing in `src/` calls them."""
+"""Test oracles: the routes that the fast paths of `metacyclic` replaced,
+scans over elements and subgroups that follow the definitions, and the
+routes that no command runs, moved here from the package with their
+tests: the exact idempotent check of strong Shoda pairs
+(`idempotent_check`), pi read off Hall complements (`pi_sets`,
+`piIgual_check`) and the regime predictors of `analysis.formula_NG`
+(`uvt_of`, `normalizer_of_K`).  The test modules import them from here
+(pytest puts this directory on sys.path); nothing in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -9,15 +13,17 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from metacyclic.group import El, InvariantError, MetacyclicGroup, Subgroup, canonical_es
-from metacyclic.invariants import (MCInv, derive_rek, local_params, mcinv,
+from metacyclic.analysis import UVT, _uvt, canonical_form, regime_U
+from metacyclic.group import (El, InvariantError, MetacyclicGroup, Subgroup, canonical_es,
+                              cocyclic_triples)
+from metacyclic.invariants import (MCInv, check_entry, derive_rek, local_params, mcinv,
                                    sylow_presentation)
 from metacyclic.numth import (UnitSubgroup, _canonical, _powers, cyclic_subgroup,
                               divisors, lcm, mult_order, orbit, p_part, part, phi,
                               prime_factors, primes_of, restrict, units, vp)
 from metacyclic.wedderburn import (FixedField, SimpleComponent, _Block, _character,
-                                   _class_of, _coset_generator, cyclotomic_field,
-                                   fixed_field, is_subfield, roots_of_unity_order)
+                                   _class_of, cyclotomic_field, fixed_field, is_subfield,
+                                   perlis_walker)
 
 
 def coset_order(G: MetacyclicGroup, x: El, K: Subgroup) -> int:
@@ -52,7 +58,7 @@ def largest_cofactor_index(G: MetacyclicGroup, A: Subgroup,
     onto G/A."""
     n = G.order // A.order
     return next((G.order // B.order for B in reversed(cyclics)
-                 if B.order % n == 0 and G.generates_quotient(B.generator, A, n)), None)
+                 if B.order % n == 0 and generates_quotient(G, B.generator, A, n)), None)
 
 
 def scanned_cyclic_subgroups(modulus: int,
@@ -198,7 +204,7 @@ def subfield_a1a2_components(decomp, m_pi_prime: int) -> tuple[SimpleComponent, 
     ambient = cyclotomic_field(m_pi_prime)
     return tuple(comp for comp in decomp
                  if is_subfield(comp.center, ambient)
-                 and roots_of_unity_order(comp.center) == 2)
+                 and comp.center.torsion == 2)
 
 
 def sorted_factor_rows(G: MetacyclicGroup) -> list[tuple[int, tuple[int, int, int]]]:
@@ -344,8 +350,8 @@ def scan_component(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> SimpleCompon
         raise ValueError("(L, K) is not a strong Shoda pair of G")
     N = G.normalizer(K)
     idx = L.order // K.order
-    u = _coset_generator(G, L, K)
-    w = _coset_generator(G, N, L)
+    u = coset_generator(G, L, K)
+    w = coset_generator(G, N, L)
     x = coset_dlog(G, u, G.conj(u, w), K)
     y = coset_dlog(G, u, G.power(w, N.order // L.order), K)
     total_degree = G.order // L.order
@@ -420,7 +426,7 @@ def scan_fixed_field(d: int, T: UnitSubgroup) -> FixedField:
 
 
 def scan_roots_of_unity_order(F: FixedField) -> int:
-    """`roots_of_unity_order` by a scan of the divisors f of the
+    """`FixedField.torsion` by a scan of the divisors f of the
     conductor for those whose whole fixer reduces to 1 mod f: 2 times
     the largest odd such f times half the largest such 2-power (at
     least 1)."""
@@ -446,3 +452,204 @@ def element_sylow_presentation(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
     s_loc = G.dlog(ap, G.power(bp, n_p))
     t_loc = G.dlog(ap, G.conj(ap, bp))
     return MetacyclicGroup(m_p, n_p, s_loc, t_loc)
+
+# ---------------------------------------------------------------------------
+# routes that no command runs
+
+
+def generates_quotient(G: MetacyclicGroup, x: El, K: Subgroup, idx: int) -> bool:
+    """Whether xK has order idx, for x in a group H of index idx over
+    its normal subgroup K: x^idx lies in K, so xK has order idx iff
+    x^(idx/q) does not for each prime q | idx."""
+    return all(G.power(x, idx // q) not in K for q, _ in prime_factors(idx))
+
+
+def hall_subgroup(G: MetacyclicGroup, primes) -> Subgroup:
+    """The Hall `primes`-subgroup, generated by the `primes`-parts of a
+    and b."""
+    S = G.generated((G.element_part(G.gen_a, primes), G.element_part(G.gen_b, primes)))
+    if S.order != part(G.order, primes):
+        raise InvariantError(f"Hall {primes}-subgroup of {G!r} has order {S.order}")
+    return S
+
+
+def pi_sets(G: MetacyclicGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(pi, pi'): pi collects the primes with a normal Hall complement."""
+    ps = sorted(primes_of(G.order))
+    pi = tuple(p for p in ps
+               if hall_subgroup(G, tuple(q for q in ps if q != p)).is_normal)
+    return pi, tuple(p for p in ps if p not in pi)
+
+
+def piIgual_check(G: MetacyclicGroup, H: MetacyclicGroup) -> list[dict]:
+    """Invariants that must coincide once the classifying tuples do.
+
+    The interesting direction (isomorphic rational algebras force these)
+    needs an algebra-isomorphism decider, so the check takes tuple
+    equality as premise and recomputes every clause from the raw
+    presentations, which may differ: pi and pi' through `pi_sets`, not
+    through the r of the tuple.
+    """
+    invG, _ = mcinv(G)
+    invH, _ = mcinv(H)
+    if invG != invH:
+        return [check_entry("piIgual premise: classifying tuples agree", False,
+                            invG.to_json(), invH.to_json()) | {"status": "n/a"}]
+    out = []
+    pwG = perlis_walker(G.abelianization_invariants())
+    pwH = perlis_walker(H.abelianization_invariants())
+    out.append(check_entry("abelianizations agree (Perlis-Walker multisets)",
+                           pwG == pwH, list(pwG), list(pwH)))
+    piG, piH = pi_sets(G), pi_sets(H)
+    out.append(check_entry("pi agrees", piG[0] == piH[0], list(piG[0]), list(piH[0])))
+    out.append(check_entry("pi' agrees", piG[1] == piH[1], list(piG[1]), list(piH[1])))
+    out.append(check_entry("m_pi' agrees",
+                           part(invG.m, piG[1]) == part(invH.m, piH[1]),
+                           part(invG.m, piG[1]), part(invH.m, piH[1])))
+    out.append(check_entry("n_pi' agrees",
+                           part(invG.n, piG[1]) == part(invH.n, piH[1]),
+                           part(invG.n, piG[1]), part(invH.n, piH[1])))
+    for p in piG[0]:
+        SG = mcinv(sylow_presentation(G, p))[0]
+        SH = mcinv(sylow_presentation(H, p))[0]
+        out.append(check_entry(f"Sylow {p}-subgroups isomorphic", SG == SH,
+                               SG.to_json(), SH.to_json()))
+    return out
+
+
+def _regime_form(G: MetacyclicGroup, p: int) -> MetacyclicGroup:
+    """`analysis.canonical_form(G)`, once G is known to lie in the
+    counting regime at p (`regime_U`), as `formula_NG` builds it."""
+    if not regime_U(G, p):
+        raise ValueError("group is outside the counting regime at this prime")
+    return canonical_form(G)
+
+
+def uvt_of(G: MetacyclicGroup, p: int) -> UVT:
+    """The basis data of `formula_NG` for a group in the counting regime."""
+    return _uvt(_regime_form(G, p), p)
+
+
+def normalizer_of_K(G: MetacyclicGroup, p: int,
+                    triple: tuple[int, int, int]) -> Subgroup:
+    """Predicted normalizer of the parametrized cocyclic subgroup of
+    L_p: all of G except for i = 2 past the threshold, where it drops
+    to <a, b^(y/t)>."""
+    GC = _regime_form(G, p)
+    uvt = _uvt(GC, p)
+    if tuple(triple) not in cocyclic_triples(uvt.u, uvt.v, p):
+        raise ValueError(f"{triple} does not parametrize a cocyclic subgroup")
+    i, y, _ = triple
+    if i == 2 and y >= uvt.t:
+        return GC.l_subgroup(y // uvt.t)
+    return GC.l_subgroup(1)
+
+
+# ---------------------------------------------------------------------------
+# exact idempotent verification (small orders)
+
+_Vec = dict  # group element -> Fraction
+
+
+def _alg_mul(G: MetacyclicGroup, f: _Vec, g: _Vec) -> _Vec:
+    out: _Vec = {}
+    for x, c in f.items():
+        for y, d in g.items():
+            z = G.mul(x, y)
+            v = out.get(z, 0) + c * d
+            if v:
+                out[z] = v
+            elif z in out:
+                del out[z]
+    return out
+
+
+def _conj_vec(G: MetacyclicGroup, f: _Vec, g: El) -> _Vec:
+    return {G.conj(x, g): c for x, c in f.items()}
+
+
+def _hat(elems) -> _Vec:
+    c = Fraction(1, len(elems))
+    return {x: c for x in elems}
+
+
+def _epsilon(G: MetacyclicGroup, L: Subgroup, K: Subgroup, u: El) -> _Vec:
+    """eps(L, K) = prod over primes q | [L:K] of (K-hat - D_q-hat), where
+    D_q/K is the unique subgroup of order q of the cyclic L/K; the empty
+    product (L = K) is K-hat itself."""
+    idx = L.order // K.order
+    k_elems = K.elems
+    eps = k_hat = _hat(k_elems)
+    for q in {p for p, _ in prime_factors(idx)}:
+        step = G.power(u, idx // q)
+        d_elems = {G.mul(k, G.power(step, i)) for k in k_elems for i in range(q)}
+        term = _hat(sorted(d_elems))
+        diff = dict(k_hat)
+        for x, c in term.items():
+            v = diff.get(x, 0) - c
+            if v:
+                diff[x] = v
+            elif x in diff:
+                del diff[x]
+        eps = _alg_mul(G, eps, diff)
+    return eps
+
+
+def coset_generator(G: MetacyclicGroup, H: Subgroup, K: Subgroup) -> El:
+    """Smallest element of H generating the cyclic quotient H/K."""
+    idx = H.order // K.order
+    for x in H:
+        if generates_quotient(G, x, K, idx):
+            return x
+    raise ValueError("quotient is not cyclic")
+
+
+def idempotent_check(G: MetacyclicGroup, L: Subgroup, K: Subgroup) -> bool:
+    """Exact rational verification that (L, K) behaves like a strong pair.
+
+    Computes eps(L, K) and e(G, L, K) = sum of the distinct conjugates of
+    eps, then checks: eps and e are idempotent, e is central, conjugates
+    of eps from outside N_G(K) are orthogonal to eps, and the elements
+    fixing e by left multiplication are exactly the core of K.  All
+    arithmetic is exact (Fraction vectors indexed by group elements).
+    """
+    if G.order > 128:
+        raise ValueError("exact idempotent arithmetic is capped at order 128")
+    k_elems = K.elems
+    if not all(G.conj(k, g) in k_elems for g in L.gens for k in k_elems):
+        return False
+    u = coset_generator(G, L, K)
+    eps = _epsilon(G, L, K, u)
+    if _alg_mul(G, eps, eps) != eps:
+        return False
+
+    N = G.normalizer(K)
+    variants: dict[frozenset, _Vec] = {}
+    outside: list[_Vec] = []
+    for g in G.elements:
+        v = _conj_vec(G, eps, g)
+        key = frozenset(v.items())
+        if key not in variants:
+            variants[key] = v
+            if g not in N:
+                outside.append(v)
+    for v in outside:
+        if _alg_mul(G, v, eps):
+            return False
+
+    e: _Vec = {}
+    for v in variants.values():
+        for x, c in v.items():
+            w = e.get(x, 0) + c
+            if w:
+                e[x] = w
+            elif x in e:
+                del e[x]
+    if _alg_mul(G, e, e) != e:
+        return False
+    if any(_conj_vec(G, e, g) != e for g in (G.gen_a, G.gen_b)):
+        return False
+
+    one = Fraction(1)
+    fixers = {g for g in G.elements if _alg_mul(G, {g: one}, e) == e}
+    return fixers == G.core(K).elems

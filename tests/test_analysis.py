@@ -14,12 +14,9 @@ from metacyclic.analysis import (
     formula_NE,
     formula_NG,
     max_degree_branch,
-    normalizer_of_K,
-    piIgual_check,
     recover_R,
     regime_U,
     section7_witness,
-    uvt_of,
 )
 from metacyclic.cli import consistent_presentations
 from metacyclic.group import (
@@ -28,10 +25,11 @@ from metacyclic.group import (
     cocyclic_subgroup_from_triple,
     cocyclic_triples,
 )
-from metacyclic.invariants import construct_group, mcinv, tuple_from_parts, valid_tuples
+from metacyclic.invariants import construct_group, mcinv, realize, tuple_from_parts, valid_tuples
 from metacyclic.numth import p_part, primes_of
 from metacyclic.wedderburn import decomposition
-from oracles import ne_regime, scaled_sylow_generator, sylow_first_regime_U
+from oracles import (ne_regime, normalizer_of_K, piIgual_check, scaled_sylow_generator,
+                     sylow_first_regime_U, uvt_of)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -280,3 +278,16 @@ def test_pi_equality_report_on_matching_tuples() -> None:
 def test_pi_equality_report_premise_gate() -> None:
     report = piIgual_check(S3, MetacyclicGroup(6, 2, 0, 5))
     assert report[0]["status"] == "n/a"
+
+
+def test_pi_equality_report_against_the_canonical_form() -> None:
+    """Every presentation up to order 64 and its canonical form agree on
+    Perlis-Walker, pi, pi', m_pi', n_pi' and the Sylow tuples, each read
+    from the presentation itself."""
+    presentations = rows = 0
+    for G in consistent_presentations(64):
+        report = piIgual_check(G, realize(mcinv(G)[0]))
+        assert all(e["status"] == "pass" for e in report), (G, report)
+        presentations += 1
+        rows += len(report)
+    assert (presentations, rows) == (3786, 25712)

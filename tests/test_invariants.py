@@ -15,7 +15,7 @@ from metacyclic.invariants import (
     isomorphic,
     m_prime_of,
     mcinv,
-    pi_sets,
+    realize,
     sylow_mcinv_consistency,
     sylow_presentation,
     t_subgroup,
@@ -27,9 +27,10 @@ from metacyclic.numth import (cyclic_subgroup, cyclic_subgroups, divisors, part,
                               primes_of, trivial_subgroup)
 from metacyclic.wedderburn import decomposition
 from oracles import (coset_order, derived_part, derived_subgroup,
-                     element_sylow_presentation, largest_cofactor_index,
-                     restricting_derive_rek, sorted_factor_rows,
-                     subfield_a1a2_components, walking_construct_group)
+                     element_sylow_presentation, generates_quotient,
+                     largest_cofactor_index, pi_sets, restricting_derive_rek,
+                     sorted_factor_rows, subfield_a1a2_components,
+                     walking_construct_group)
 
 
 def test_mcinv_golden_tuples() -> None:
@@ -126,7 +127,7 @@ def _minimal_pairs(G: MetacyclicGroup):
         n = order // oa
         for B, y in cyclics:
             # A is normal, so G = AB iff B maps onto the cyclic G/A.
-            if B.order % n or not G.generates_quotient(y, A, n):
+            if B.order % n or not generates_quotient(G, y, A, n):
                 continue
             key = (oa, ra, order // B.order)
             if best_key is None or key < best_key:
@@ -193,7 +194,7 @@ def test_cofactor_index_against_the_walk_over_b() -> None:
 def test_factorization_test_matches_the_coset_order_scan() -> None:
     """For a normal cyclic A of index n, G = AB iff the generator of B has
     coset order n mod A.  `generates_quotient`, which the walk over B in
-    `tests/oracles.py` and `wedderburn._coset_generator` call, asks instead
+    `tests/oracles.py` and `coset_generator` there call, asks instead
     that no x^(n/q) lies in A for a prime q | n; the two agree on every
     such pair (A, B), for every class up to order 128."""
     checked = 0
@@ -206,7 +207,7 @@ def test_factorization_test_matches_the_coset_order_scan() -> None:
             n = G.order // A.order
             for B, x in cyclics:
                 if B.order % n == 0:
-                    assert G.generates_quotient(x, A, n) == \
+                    assert generates_quotient(G, x, A, n) == \
                         (coset_order(G, x, A) == n), (G, A, B)
                     checked += 1
     assert checked == 24839
@@ -233,6 +234,19 @@ def test_pi_sets() -> None:
     assert pi_sets(MetacyclicGroup(3, 2, 0, 2)) == ((2,), (3,))
     assert pi_sets(MetacyclicGroup(4, 2, 2, 3)) == ((2,), ())
     assert pi_sets(MetacyclicGroup(9, 3, 0, 4)) == ((3,), ())
+
+
+def test_pi_of_mcinv_against_the_hall_complements() -> None:
+    """`mcinv` reads pi' as the primes of m outside r; `pi_sets` reads pi
+    as the primes whose Hall complement is normal.  The two agree on
+    every class up to order 256."""
+    checked = 0
+    for inv in valid_tuples(256):
+        G = realize(inv)
+        der = mcinv(G)[1]
+        assert pi_sets(G) == (der.pi, der.pi_prime), inv
+        checked += 1
+    assert checked == 1365
 
 
 def test_isomorphic_matches_brute_force_on_spot_pairs() -> None:

@@ -68,7 +68,7 @@ def test_valuation_parts() -> None:
             assert part(n, ps) == math.prod(p ** e for p, e in prime_factors(n) if p in ps)
 
 
-def test_valuation_parts_reject_p_below_two() -> None:
+def test_valuation_parts_reject_p_below_two(child_env) -> None:
     """vp and part raise ValueError for p < 2 instead of dividing by p = 1
     forever or by p = 0.  Run in a subprocess, so a loop that does not
     end fails on the timeout instead of hanging the suite."""
@@ -81,7 +81,7 @@ def test_valuation_parts_reject_p_below_two() -> None:
          "        call()\n"
          "    except ValueError:\n"
          "        print('ValueError')\n"],
-        capture_output=True, text=True, timeout=15)
+        capture_output=True, text=True, timeout=15, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * 5
 
@@ -96,7 +96,7 @@ def test_factor_against_the_definitions() -> None:
         assert (prime_factors(n), primes_of(n), divisors(n), phi(n)) == got
 
 
-def test_value_errors_of_p_part_part_divisors_and_phi() -> None:
+def test_value_errors_of_p_part_part_divisors_and_phi(child_env) -> None:
     """p_part raises ValueError for n = 0 and for p < 2, part for n < 1
     and for p < 2, and the four readers of `_factor` for n < 1.  Run in a
     subprocess, so a loop that does not end fails on the timeout instead
@@ -113,7 +113,7 @@ def test_value_errors_of_p_part_part_divisors_and_phi() -> None:
          "        eval(call)\n"
          "    except ValueError:\n"
          "        print('ValueError')\n"],
-        capture_output=True, text=True, timeout=15)
+        capture_output=True, text=True, timeout=15, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ValueError"] * len(calls)
     assert p_part(-48, 2) == 16 and p_part(-48, 5) == 1

@@ -55,12 +55,15 @@ def _traced_names() -> dict[str, tuple[str, ...]]:
     raise LookupError("perfbench/spans.py assigns no TRACED")
 
 
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+               for d in node.decorator_list)
+
+
 def _plain_functions(body: list[ast.stmt]) -> set[str]:
     """Functions defined in `body` that are not properties."""
     return {node.name for node in body
-            if isinstance(node, ast.FunctionDef)
-            and not any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
-                        for d in node.decorator_list)}
+            if isinstance(node, ast.FunctionDef) and not _is_property(node)}
 
 
 def test_traced_names_are_plain_functions() -> None:
@@ -78,3 +81,49 @@ def test_traced_names_are_plain_functions() -> None:
         missing += [f"{module}.{name}" for name in names
                     if name not in _plain_functions(body)]
     assert missing == []
+
+
+def _references(tree: ast.AST) -> list[tuple[str, bool, frozenset[ast.AST]]]:
+    """(name, read as an attribute, enclosing function definitions) for
+    each name the tree reads."""
+    found: list[tuple[str, bool, frozenset[ast.AST]]] = []
+
+    def visit(node: ast.AST, inside: frozenset[ast.AST]) -> None:
+        if isinstance(node, ast.Name):
+            found.append((node.id, False, inside))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, True, inside))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_function_in_the_package_is_reached() -> None:
+    """A function or method of `src/metacyclic/` that nothing in the
+    package reads outside its own body, that `metacyclic.__all__` does not
+    export and that perfbench's `TRACED` does not wrap is dead code: it
+    belongs in `tests/oracles.py`, if a test needs it, or nowhere.  A
+    method is read only as an attribute, so a function of the same name
+    does not keep it.  Dunders and properties are reached through the
+    data model."""
+    package = Path(metacyclic.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    methods = {node for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    kept = set(metacyclic.__all__)
+    traced = {(module, name) for module, names in _traced_names().items() for name in names}
+    dead = [f"{module}.{node.name}:{node.lineno}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not _is_property(node)
+            and node.name not in kept
+            and (module, node.name) not in traced
+            and not any(name == node.name and (attr or node not in methods)
+                        and node not in inside for name, attr, inside in refs)]
+    assert dead == []

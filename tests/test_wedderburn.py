@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from metacyclic import group, wedderburn
+from metacyclic import wedderburn
 from metacyclic.analysis import formula_NE, formula_NG, section7_witness
 from metacyclic.cli import consistent_presentations, main
 from metacyclic.group import InvariantError, MetacyclicGroup, Subgroup
@@ -27,18 +27,17 @@ from metacyclic.wedderburn import (
     fingerprint,
     fixed_field,
     galois_preimage,
-    idempotent_check,
     intersect_cyclotomic,
     is_subfield,
     perlis_walker,
     perlis_walker_conductors,
-    roots_of_unity_order,
     strong_shoda_pairs,
 )
 from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, from_generators, lcm, units
-from oracles import (conjugacy_classes, coset_order, qualifies, scan_component,
-                     scan_fixed_field, scan_roots_of_unity_order, searched_component,
-                     walk_pairs)
+import oracles
+from oracles import (conjugacy_classes, coset_generator, coset_order, hall_subgroup,
+                     idempotent_check, qualifies, scan_component, scan_fixed_field,
+                     scan_roots_of_unity_order, searched_component, walk_pairs)
 
 S3 = MetacyclicGroup(3, 2, 0, 2)
 Q8 = MetacyclicGroup(4, 2, 2, 3)
@@ -70,12 +69,12 @@ def test_fixed_field_degrees() -> None:
 
 
 def test_roots_of_unity_orders() -> None:
-    assert roots_of_unity_order(RATIONALS) == 2
-    assert roots_of_unity_order(cyclotomic_field(3)) == 6
-    assert roots_of_unity_order(cyclotomic_field(4)) == 4
-    assert roots_of_unity_order(cyclotomic_field(8)) == 8
+    assert RATIONALS.torsion == 2
+    assert cyclotomic_field(3).torsion == 6
+    assert cyclotomic_field(4).torsion == 4
+    assert cyclotomic_field(8).torsion == 8
     # real subfield of Q(zeta_8) keeps only -1 despite the even conductor
-    assert roots_of_unity_order(fixed_field(8, cyclic_subgroup(7, 8))) == 2
+    assert fixed_field(8, cyclic_subgroup(7, 8)).torsion == 2
 
 
 def test_fixed_field_against_the_unit_scan() -> None:
@@ -104,7 +103,7 @@ def test_roots_of_unity_order_against_the_divisor_scan() -> None:
              for gens in itertools.combinations(units(d), 2)}
     assert sum(F.fixer.generator is None for F in pairs) == 12
     for F in fields | pairs:
-        assert roots_of_unity_order(F) == scan_roots_of_unity_order(F), F
+        assert F.torsion == scan_roots_of_unity_order(F), F
 
 
 def test_subfield_and_intersection() -> None:
@@ -175,7 +174,7 @@ def test_idempotent_check_on_every_strong_shoda_pair() -> None:
 
 
 def test_coset_generators_match_the_coset_order_scan() -> None:
-    """`_coset_generator` tests x^(idx/q) against K for the primes q | idx.
+    """`coset_generator` tests x^(idx/q) against K for the primes q | idx.
     The first x whose coset order is the whole index, found by the divisor
     scan of `coset_order`, is the same element on every (L, K) and
     (N_G(K), L) of every class up to order 128."""
@@ -190,7 +189,7 @@ def test_coset_generators_match_the_coset_order_scan() -> None:
         G = construct_group(inv)
         for L, K in strong_shoda_pairs(G):
             for H, N in ((L, K), (G.normalizer(K), L)):
-                assert wedderburn._coset_generator(G, H, N) == \
+                assert coset_generator(G, H, N) == \
                     by_coset_order(G, H, N), (G, H, N)
                 checked += 1
     assert checked == 2 * 5351
@@ -447,9 +446,9 @@ def test_pair_and_component_checks_raise_invariant_error(monkeypatch) -> None:
         decomposition.__wrapped__(S3)
     monkeypatch.undo()
 
-    monkeypatch.setattr(group, "part", lambda k, primes: 0)
+    monkeypatch.setattr(oracles, "part", lambda k, primes: 0)
     with pytest.raises(InvariantError, match="Hall"):
-        G.hall_subgroup((2,))
+        hall_subgroup(G, (2,))
 
 
 def test_answer_path_builds_no_element_sets(monkeypatch) -> None:
