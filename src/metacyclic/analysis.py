@@ -21,8 +21,8 @@ invariant-only gate has passed, and `formula_NG` once `regime_U` holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .group import (
     El,
@@ -208,8 +208,7 @@ def formula_NE(G: MetacyclicGroup) -> int | None:
 # -- countC: components of prescribed degree over the base field -------------
 
 
-@dataclass(frozen=True)
-class UVT:
+class UVT(NamedTuple):
     """Basis data for the Sylow p-part of L = <a, b^l>.
 
     L_p = <g> x <h> with |g| = u, |h| = v; t is the threshold separating

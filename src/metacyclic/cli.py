@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import (
     a1a2_components,
@@ -60,19 +60,25 @@ ISO_ORACLE_CAP = 64
 FORMATS = ("table", "json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     max_order: int = 64
     format: str = "table"
     jobs: int = 1
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_order <= MAX_ORDER_LIMIT:
+
+class RunConfig(_RunFields):
+    """The settings of one `enumerate` or `verify` run, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_order: int = 64, format: str = "table", jobs: int = 1):
+        if not 1 <= max_order <= MAX_ORDER_LIMIT:
             raise ValueError(f"max_order must lie in 1..{MAX_ORDER_LIMIT}")
-        if self.format not in FORMATS:
+        if format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be positive")
+        return super().__new__(cls, max_order, format, jobs)
 
 
 # ---------------------------------------------------------------------------

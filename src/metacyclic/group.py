@@ -48,10 +48,9 @@ class MetacyclicGroup:
         self.n = n
         self.s = s
         self.t = t
-
-    @property
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.m, self.n, self.s, self.t)
+        # The presentation never changes, so its key and hash are built once.
+        self.key = (m, n, s, t)
+        self._hash = hash(self.key)
 
     @property
     def order(self) -> int:
@@ -61,7 +60,7 @@ class MetacyclicGroup:
         return isinstance(other, MetacyclicGroup) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"MetacyclicGroup(m={self.m}, n={self.n}, s={self.s}, t={self.t})"

@@ -13,9 +13,9 @@ arithmetic, and rebuilds a canonical presentation from a valid tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .group import InvariantError, MetacyclicGroup, Subgroup, canonical_es
 from .numth import (
@@ -34,8 +34,7 @@ from .numth import (
 )
 
 
-@dataclass(frozen=True)
-class MCInv:
+class MCInv(NamedTuple):
     """Classifying tuple (m, n, s, delta).
 
     s is stored in divisor-of-m normal form (s = m encodes b^n = 1) and
@@ -71,8 +70,7 @@ def tuple_from_parts(m: int, n: int, s: int, m_prime: int, delta_gen: int) -> MC
     return MCInv(m, n, s, cyclic_subgroup(delta_gen, m_prime))
 
 
-@dataclass(frozen=True)
-class DerivedInv:
+class DerivedInv(NamedTuple):
     """Quantities read off a classifying tuple.
 
     r: greatest divisor of m on which the action restricts to the

@@ -11,8 +11,8 @@ interned by `_canonical`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 
 class InvariantError(RuntimeError):
@@ -135,8 +135,7 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(x for x in range(n) if math.gcd(x, n) == 1)
 
 
-@dataclass(frozen=True, order=True)
-class UnitSubgroup:
+class UnitSubgroup(NamedTuple):
     """A subgroup of the units mod `modulus`, stored as a sorted residue tuple.
 
     `generator` is the smallest residue generating the subgroup, or None when

@@ -12,9 +12,9 @@ field, so equality of centers is exact Galois-correspondence arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, total_ordering
 from itertools import product
+from typing import NamedTuple
 
 from .group import InvariantError, MetacyclicGroup, Subgroup, canonical_es
 from .numth import (
@@ -41,25 +41,54 @@ def canonical_conductor(d: int) -> int:
 # cyclotomic fixed fields
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class FixedField:
     """The subfield of Q(zeta_conductor) fixed by `fixer` <= U_conductor.
 
     Instances are kept canonical: the conductor is the smallest modulus
-    realizing the field, so dataclass equality is field equality.
+    realizing the field, so equality of (conductor, fixer) is field
+    equality.  Instances are immutable, and they compare, hash and sort
+    as the tuple (conductor, fixer).
     """
 
-    conductor: int
-    fixer: UnitSubgroup
+    __slots__ = ("conductor", "fixer", "_torsion")
+
+    def __init__(self, conductor: int, fixer: UnitSubgroup) -> None:
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "fixer", fixer)
+        object.__setattr__(self, "_torsion", 0)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FixedField, (self.conductor, self.fixer)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FixedField:
+            return NotImplemented
+        return (self.conductor, self.fixer) == (other.conductor, other.fixer)
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not FixedField:
+            return NotImplemented
+        return (self.conductor, self.fixer) < (other.conductor, other.fixer)
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.fixer))
 
     @property
     def degree(self) -> int:
         return phi(self.conductor) // self.fixer.order
 
-    @cached_property
+    @property
     def torsion(self) -> int:
-        """Order of the torsion subgroup of F* (always even), computed once
-        per field and kept on the instance, which `fixed_field` interns.
+        """Order of the torsion subgroup of F* (always even), computed on
+        the first read and kept on the instance, which `fixed_field`
+        interns.
 
         Q(zeta_f) embeds in F exactly when f divides the conductor and
         the whole fixer reduces to 1 mod f, that is when f divides g, the
@@ -68,12 +97,14 @@ class FixedField:
         the gcd over every element, so g is read from the fixer's
         generators.  The torsion order is 2 * e * 2^(a-1) with e the odd
         part of g and 2^a its 2-part (a >= 1 read as 1 when g is odd,
-        since -1 is always present).  It is not a dataclass field, so it
-        takes no part in equality, hashing or order.
+        since -1 is always present).  It is kept outside (conductor,
+        fixer), so it takes no part in equality, hashing or order.
         """
-        g = math.gcd(self.conductor, *(x - 1 for x in self.fixer_generators()))
-        two = g & -g
-        return 2 * (g // two) * max(two // 2, 1)
+        if not self._torsion:
+            g = math.gcd(self.conductor, *(x - 1 for x in self.fixer_generators()))
+            two = g & -g
+            object.__setattr__(self, "_torsion", 2 * (g // two) * max(two // 2, 1))
+        return self._torsion
 
     def fixer_generators(self) -> tuple[int, ...]:
         if self.fixer.is_trivial:
@@ -283,8 +314,7 @@ def strong_shoda_pairs(G: MetacyclicGroup) -> tuple[tuple[Subgroup, Subgroup], .
 # simple components
 
 
-@dataclass(frozen=True)
-class SimpleComponent:
+class SimpleComponent(NamedTuple):
     """Symbolic Wedderburn component: matrix_size x matrix_size matrices
     over the cyclic algebra (Q(zeta_conductor)/center, sigma_x, zeta^y)."""
 

@@ -229,6 +229,18 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded(child_env) -> None:
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded(child_env) -> None:
+    """The value types are named tuples and small classes, so a cold
+    start does not pay for `dataclasses`, which imports `inspect`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, metacyclic.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_the_sweep_builds_no_order_table(monkeypatch) -> None:
     """Every check but iso-oracle reads element orders in closed form:
     the sweep up to 128 passes with `order_table` patched to raise."""

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 from collections import Counter, defaultdict
@@ -401,7 +400,7 @@ def test_dimension_identity_failure_raises_invariant_error(capsys,
 
     def inflated(*args):
         comp = real(*args)
-        return dataclasses.replace(comp, q_dimension=comp.q_dimension + 1)
+        return comp._replace(q_dimension=comp.q_dimension + 1)
 
     monkeypatch.setattr(wedderburn, "_component", inflated)
     with pytest.raises(InvariantError, match="dimensions"):
