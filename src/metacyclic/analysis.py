@@ -21,6 +21,7 @@ invariant-only gate has passed, and `formula_NG` once `regime_U` holds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,7 +45,6 @@ from .numth import (
     UnitSubgroup,
     cyclic_subgroup,
     geom_sum,
-    lcm,
     p_part,
     part,
     phi,
@@ -306,14 +306,14 @@ def count_C(G: MetacyclicGroup, p: int) -> int:
     banned = tuple(q for q in der.pi if q not in (p, 2))
     if p != 2:
         banned += (4,)
-    return _count_components(decomposition(G), lcm(der.k, p ** (mu - rho)), banned)
+    return _count_components(decomposition(G), math.lcm(der.k, p ** (mu - rho)), banned)
 
 
 def _weight(i: int, y: int, t: int, d: int) -> Fraction:
     # 1/[G : N_G(K)] for the combined subgroup; only deep i = 2 triples
     # push the normalizer below <a, b^d>.
     if i == 2 and y > t:
-        return Fraction(1, lcm(d, y // t))
+        return Fraction(1, math.lcm(d, y // t))
     return Fraction(1, d)
 
 
@@ -386,7 +386,7 @@ def formula_NG(G: MetacyclicGroup, p: int) -> tuple[int, int | None]:
     inv, der = mcinv(GC)
     mu, nu, _, rho, _ = local_params(GC, p)
     k_p = p_part(der.k, p)
-    l = lcm(der.k, p ** (mu - rho))
+    l = math.lcm(der.k, p ** (mu - rho))
     uvt = _uvt(GC, p)
 
     a_pp = GC.element_part(GC.gen_a, der.pi_prime)
@@ -484,7 +484,7 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
     a_rest = GC.element_part(GC.gen_a, tuple(q for q in der.pi if q != p))
 
     if p == 2 and der.eps == -1:
-        c = lcm(k, mp_p // r_p)
+        c = math.lcm(k, mp_p // r_p)
         L = GC.l_subgroup(c)
         b2c = GC.power(GC.element_part(GC.gen_b, (2,)), c)
         if b2c[1] != 0:
@@ -506,7 +506,7 @@ def section7_witness(G: MetacyclicGroup, p: int) -> list[dict]:
             [(f"Q(zeta_{m_pp})", m_pp, F0),
              (f"Q(zeta_{mp_p})", mp_p, sigma_fixed)])
     elif s_p >= mp_p:
-        c = lcm(k, s_p // r_p)
+        c = math.lcm(k, s_p // r_p)
         out.append(check_entry(
             "case 1: m'_p formula",
             mp_p == min(m_p, k_p * r_p,

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from typing import Iterable
 
-from .numth import InvariantError, crt_exponent, divisors, lcm, orbit, primes_of
+from .numth import InvariantError, crt_exponent, divisors, geom_sum_mod, orbit, primes_of
 
 El = tuple[int, int]
 
@@ -100,19 +100,15 @@ class MetacyclicGroup:
         return (-(i + self.s) * pow(self.t, self.n - j, self.m) % self.m, self.n - j)
 
     def power(self, x: El, k: int) -> El:
-        """x^k = a^(i S(k)) b^(jk) for x = a^i b^j and k >= 0.  S(k) = 1 + y
-        + ... + y^(k-1) mod m, y = t^j mod m, is k if y = 1 mod m and else
-        (r - 1) // (y - 1) for r = y^k mod m(y - 1); b^(jk) = a^(s floor(jk/n))
-        b^(jk mod n) as b^n = a^s is central.  x^k = (x^-1)^(-k) for k < 0."""
+        """x^k = a^(i S(k)) b^(jk) for x = a^i b^j and k >= 0, with S(k) =
+        1 + y + ... + y^(k-1) mod m for y = t^j mod m; b^(jk) = a^(s
+        floor(jk/n)) b^(jk mod n) as b^n = a^s is central.  x^k = (x^-1)^(-k)
+        for k < 0."""
         if k < 0:
             return self.power(self.inv(x), -k)
         i, j = x
         m = self.m
-        y = pow(self.t, j, m)
-        if y == 1 % m:
-            geom = k
-        else:
-            geom = (pow(y, k, m * (y - 1)) - 1) // (y - 1)
+        geom = geom_sum_mod(pow(self.t, j, m), k, m)
         return ((i * geom + self.s * (j * k // self.n)) % m, j * k % self.n)
 
     def conj(self, g: El, h: El) -> El:
@@ -191,19 +187,11 @@ class MetacyclicGroup:
     def _power_sums(self):
         """(f, S, s0) for each f | n: with x = a^e b^f and N = n/f, S is the
         sum of t^(f l) over l < N, taken mod m, and s0 = s for f < n, 0 for
-        f = n, so x^N = a^(e S + s0).  With y = t^f mod m, S is N if
-        y = 1 mod m and else (y^N mod m(y - 1) - 1) / (y - 1), as in
-        `power`.  The callers read S only through gcds and inverses mod
-        divisors of m, so S mod m serves them."""
+        f = n, so x^N = a^(e S + s0).  The callers read S only through
+        gcds and inverses mod divisors of m, so S mod m serves them."""
         m, n, t = self.m, self.n, self.t
         for f in divisors(n):
-            N = n // f
-            y = pow(t, f, m)
-            if y == 1 % m:
-                S = N % m
-            else:
-                S = (pow(y, N, m * (y - 1)) - 1) // (y - 1)
-            yield f, S, self.s if f < n else 0
+            yield f, geom_sum_mod(pow(t, f, m), n // f, m), self.s if f < n else 0
 
     def l_subgroup(self, d: int) -> "Subgroup":
         """<a, b^d>, which only depends on gcd(d, n)."""
@@ -271,8 +259,8 @@ class MetacyclicGroup:
         N m / gcd(e S + s0, m) by `_power_sums`; over e these orders have
         lcm N m / gcd(S, s0, m)."""
         m, n = self.m, self.n
-        return lcm(*(n // f * m // math.gcd(S, s0, m)
-                     for f, S, s0 in self._power_sums()))
+        return math.lcm(*(n // f * m // math.gcd(S, s0, m)
+                          for f, S, s0 in self._power_sums()))
 
     def order_table(self) -> dict[El, int]:
         """Element -> order, in the order of `elements`."""

@@ -24,6 +24,7 @@ from .numth import (
     cyclic_subgroups,
     divisors,
     from_generators,
+    geom_sum_mod,
     mult_order,
     p_part,
     part,
@@ -250,10 +251,9 @@ def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> tuple[int, UnitSubgroup]
     gcd(u, q) = 1 maps onto G/A and has x^q = alpha^(u sigma + j Sigma),
     so |<x>| = q |A| / gcd(u sigma + j Sigma, |A|), and the least gcd,
     taken at u = 1, is gcd(sigma, Sigma, |A|) = [G:B].  Sigma is read
-    from tau by the closed form of `MetacyclicGroup.power`: q if tau = 1
-    mod |A|, else (r - 1) // (tau - 1) for r = tau^q mod |A| (tau - 1);
-    so two `dlog` calls, for tau and sigma, give [G:B].  A is abelian, so
-    the action of G on A factors through the cyclic G/A, and T = <tau>.
+    from tau by `geom_sum_mod`, so two `dlog` calls, for tau and sigma,
+    give [G:B].  A is abelian, so the action of G on A factors through
+    the cyclic G/A, and T = <tau>.
     """
     c, e, f = A.triple
     e1 = e if f < G.n else -G.s
@@ -267,11 +267,7 @@ def _cofactor_index(G: MetacyclicGroup, A: Subgroup) -> tuple[int, UnitSubgroup]
     q = c * f
     M = A.order
     tau = G.dlog(alpha, G.conj(alpha, beta))
-    if tau == 1 % M:
-        Sigma = q
-    else:
-        Sigma = (pow(tau, q, M * (tau - 1)) - 1) // (tau - 1)
-    s = math.gcd(G.dlog(alpha, G.power(beta, q)), Sigma, M)
+    s = math.gcd(G.dlog(alpha, G.power(beta, q)), geom_sum_mod(tau, q, M), M)
     return s, cyclic_subgroup(tau, M)
 
 

@@ -11,7 +11,7 @@ interned by `_canonical`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -128,6 +128,15 @@ def geom_sum(x: int, n: int) -> int:
     if x == 1:
         return n
     return (x**n - 1) // (x - 1)
+
+
+def geom_sum_mod(y: int, n: int, m: int) -> int:
+    """1 + y + ... + y^(n-1) mod m, for a residue 0 <= y < m and n >= 0:
+    n mod m if y = 1 mod m, else (y^n mod m(y - 1) - 1) / (y - 1), since
+    the sum times y - 1 is y^n - 1."""
+    if y == 1 % m:
+        return n % m
+    return (pow(y, n, m * (y - 1)) - 1) // (y - 1)
 
 
 def units(n: int) -> tuple[int, ...]:
@@ -354,7 +363,3 @@ def crt_exponent(order: int, primes) -> int:
     b = order // a
     # e = b * (b^{-1} mod a)
     return b * pow(b, -1, a)
-
-
-def lcm(*values: int) -> int:
-    return reduce(math.lcm, values, 1)

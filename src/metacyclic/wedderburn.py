@@ -22,7 +22,6 @@ from .numth import (
     cyclic_subgroup,
     divisors,
     from_generators,
-    lcm,
     mult_order,
     phi,
     preimage,
@@ -490,7 +489,7 @@ def perlis_walker(abelian_invariants) -> tuple[tuple[int, int], ...]:
     factors = [int(f) for f in abelian_invariants]
     if any(f < 1 for f in factors):
         raise ValueError("cyclic factors must be positive")
-    exponent = lcm(*factors) if factors else 1
+    exponent = math.lcm(*factors)
     exact: dict[int, int] = {}
     for d in divisors(exponent):
         below = math.prod(math.gcd(d, f) for f in factors)

@@ -19,7 +19,7 @@ from metacyclic.group import (El, InvariantError, MetacyclicGroup, Subgroup, can
 from metacyclic.invariants import (MCInv, check_entry, derive_rek, local_params, mcinv,
                                    sylow_presentation)
 from metacyclic.numth import (UnitSubgroup, _canonical, _powers, cyclic_subgroup,
-                              divisors, lcm, mult_order, orbit, p_part, part, phi,
+                              divisors, mult_order, orbit, p_part, part, phi,
                               prime_factors, primes_of, restrict, units, vp)
 from metacyclic.wedderburn import (FixedField, SimpleComponent, _Block, _character,
                                    _class_of, cyclotomic_field, fixed_field, is_subfield,
@@ -318,7 +318,7 @@ def qualifies(G: MetacyclicGroup, K: Subgroup) -> Subgroup | None:
     if f % e0:
         return None
     o2 = coset_order(G, G.power(G.gen_b, e0), K)
-    if lcm(c, o2) != G.order // math.gcd(e0, G.n) // K.order:
+    if math.lcm(c, o2) != G.order // math.gcd(e0, G.n) // K.order:
         return None
     return G.l_subgroup(e0)
 

@@ -16,7 +16,7 @@ from metacyclic.numth import (
     divisors,
     from_generators,
     geom_sum,
-    lcm,
+    geom_sum_mod,
     mult_order,
     orbit,
     p_part,
@@ -134,14 +134,14 @@ def test_phi_and_mult_order_against_brute_force() -> None:
             assert mult_order(x, n) == k
 
 
-def geom_sum_mod(x: int, n: int, mod: int) -> int:
+def halving_geom_sum(x: int, n: int, mod: int) -> int:
     """geom_sum(x, n) reduced mod `mod` by halving n: the oracle for the
-    closed form (y^k mod m(y - 1) - 1) // (y - 1) of `MetacyclicGroup.power`."""
+    closed form (y^k mod m(y - 1) - 1) // (y - 1) of `numth.geom_sum_mod`."""
     if mod == 1:
         return 0
     if n == 0:
         return 0
-    half = geom_sum_mod(x, n // 2, mod)
+    half = halving_geom_sum(x, n // 2, mod)
     total = half * (1 + pow(x, n // 2, mod)) % mod
     if n % 2:
         total = (total + pow(x, n - 1, mod)) % mod
@@ -154,7 +154,7 @@ def test_geom_sum_mod_matches_direct_sum() -> None:
             direct = sum(x**i for i in range(n))
             assert geom_sum(x, n) == direct
             for mod in (1, 2, 5, 12, 97):
-                assert geom_sum_mod(x, n, mod) == direct % mod
+                assert halving_geom_sum(x, n, mod) == direct % mod
 
 
 def test_power_matches_the_recursive_geometric_sum() -> None:
@@ -163,7 +163,8 @@ def test_power_matches_the_recursive_geometric_sum() -> None:
     0 <= k <= 2 |G| on every presentation with m n <= 32, and for k in
     {0, 1, 10^12 + 7} on sampled elements of four presentations of order
     4096, where x^-k must be the recursion's k-th power of x^-1 and the
-    inverse of x^k."""
+    inverse of x^k.  Each geometric sum the recursion takes is also the
+    closed form of `geom_sum_mod`."""
     big = 10**12 + 7
     cases = [(G, G.elements, range(2 * G.order + 1))
              for G in consistent_presentations(32)]
@@ -174,8 +175,10 @@ def test_power_matches_the_recursive_geometric_sum() -> None:
     def recursion(G, el, k):
         m, n, s, t = G.key
         i, j = el
-        return ((i * geom_sum_mod(pow(t, j, m), k, m) + s * (j * k // n)) % m,
-                j * k % n)
+        y = pow(t, j, m)
+        geom = halving_geom_sum(y, k, m)
+        assert geom_sum_mod(y, k, m) == geom, (y, k, m)
+        return ((i * geom + s * (j * k // n)) % m, j * k % n)
 
     for G, elements, ks in cases:
         for x in elements:
@@ -307,9 +310,3 @@ def test_crt_exponent_hits_prescribed_parts() -> None:
     assert e % 8 == 1 and e % 9 == 1 and e % 5 == 0
     assert crt_exponent(7, ()) == 0
     assert crt_exponent(12, (2, 3)) == 1
-
-
-def test_lcm_varargs() -> None:
-    assert lcm() == 1
-    assert lcm(4, 6) == 12
-    assert lcm(3, 5, 7) == 105

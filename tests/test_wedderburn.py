@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 from collections import Counter, defaultdict
 
 import pytest
@@ -32,7 +33,7 @@ from metacyclic.wedderburn import (
     perlis_walker_conductors,
     strong_shoda_pairs,
 )
-from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, from_generators, lcm, units
+from metacyclic.numth import cyclic_subgroup, cyclic_subgroups, from_generators, units
 import oracles
 from oracles import (conjugacy_classes, coset_generator, coset_order, hall_subgroup,
                      idempotent_check, qualifies, scan_component, scan_fixed_field,
@@ -129,7 +130,7 @@ def _preimage_is_subfield(F, E) -> bool:
 def _preimage_intersect_cyclotomic(F, c: int):
     """intersect_cyclotomic inside Q(zeta_lcm), fixed by the join of the
     preimage of F's fixer and the units that are 1 mod c."""
-    M = lcm(F.conductor, c)
+    M = math.lcm(F.conductor, c)
     gens = list(galois_preimage(F, M).elements)
     gens += [x for x in units(M) if x % c == 1 % c]
     return fixed_field(M, from_generators(M, gens))
